@@ -683,6 +683,14 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     for key in ("rho_db", "k_list", "beta_list", "ratio_list"):
         if key in grid and not grid[key]:
             raise UsageError(f"empty grid for {key}")
+    for key in ("k_list", "beta_list", "ratio_list"):
+        if key in grid and not all(v > 0 for v in grid[key]):
+            raise UsageError(f"{key} values must be positive, got {grid[key]}")
+    if sc == "deletions":
+        dt_max = min(grid["beta_list"]) / 20.0
+        if not (0 < grid["dt"] <= dt_max):
+            raise UsageError(f"dt must lie in (0, min(beta_list)/20 = {dt_max:.3g}], "
+                             f"got {grid['dt']}")
     return ExperimentSpec(
         subcommand=sc, config=cfg, grid=grid, output_dir=args.out,
         seed=cfg["seed"], units=args.units, jobs=args.jobs,

@@ -36,7 +36,6 @@ __all__ = [
     "DistortionBounds",
     "distortion_bounds",
     "acf_tail_moment",
-    "distortion_acf_upper",
 ]
 
 
@@ -78,6 +77,11 @@ def _w_shape(u):
     return g_mag_sq(u, 1.0)
 
 
+# Distinct (m, r, kind) arguments kept by the moment cache.  A grid point of
+# variance_curve_crossings asks for 146 of them, the same ones at every point.
+_ACF_CACHE_SIZE = 4096
+
+
 def acf_tail_moment(m: int, r: float, kind: str = "cos") -> float:
     """int_pi^inf u^m w(u) trig(u r) du for m in {0, 1, 2}.
 
@@ -85,12 +89,20 @@ def acf_tail_moment(m: int, r: float, kind: str = "cos") -> float:
     at lag tau = r * beta.  The finite stretch [pi, 4 pi] carries the
     removable singularity of w; beyond it the (1 + cos u) factor is expanded
     so the oscillatory tails can be handed to QUADPACK's weighted rules.
+
+    The moments depend on no channel parameter, and variance_curve_crossings
+    integrates over T = beta, so every grid point asks for the same lags:
+    values are memoised per (m, r, kind).  A failed quadrature is not cached.
     """
     if m not in (0, 1, 2):
         raise ValueError(f"m must be 0, 1, or 2, got {m}")
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    r = float(r)
+    return _acf_tail_moment(int(m), float(r), kind)
+
+
+@lru_cache(maxsize=_ACF_CACHE_SIZE)
+def _acf_tail_moment(m: int, r: float, kind: str) -> float:
     trig = np.cos if kind == "cos" else np.sin
     a = 4.0 * math.pi
     label = f"acf_tail_moment(m={m}, r={r:.6g}, {kind})"
@@ -130,25 +142,6 @@ def acf_tail_moment(m: int, r: float, kind: str = "cos") -> float:
             raise NumericalError(f"{label}: oscillatory tail did not converge")
         tail += coeff * piece
     return head + tail
-
-
-def distortion_acf_upper(tau, params: DerivedParams):
-    """ACF of the lowpass distortion built from the flattened upper PSD bound.
-
-    Uses the band-edge-frozen correlation factor (1 + 2 c1), the same
-    bounding step the closed-form variance and curvature bounds apply, so
-    this ACF reproduces those closed forms exactly at tau = 0.
-    """
-    p = params
-    c1 = c1_of_k(p.k)
-    scale = (1.0 + 2.0 * c1) * p.P_hat * p.beta / (math.pi * p.T_avg)
-    tau = np.asarray(tau, dtype=float)
-    scalar = tau.ndim == 0
-    out = np.array(
-        [acf_tail_moment(0, t / p.beta, "cos") for t in np.atleast_1d(tau)]
-    )
-    out *= scale
-    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)

@@ -402,7 +402,7 @@ def _census_chunk(p: DerivedParams, K: int, dt: float, rng: np.random.Generator)
     xf = ideal_lp(x, p.W)
     noise = gen_bandlimited_noise(len(x), dt, p.N0, p.W, rng, t_start=x.t_start)
     r = SampledWaveform(xf.samples + noise.samples, dt, x.t_start)
-    rx = extract_crossings(r)
+    rx = extract_crossings(r, method="interp")
     # drop edge symbols; count crossings inside each transition window
     T = tx.times[2:-2]
     lo = np.searchsorted(rx.times, T - p.beta / 2.0)

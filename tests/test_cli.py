@@ -89,6 +89,15 @@ def test_invalid_grid_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("args", [["psd", "--k-list", "0"], ["deletions", "--dt", "1"]])
+def test_bad_value_is_usage_error(tmp_path, capsys, args):
+    rc = main(["--out", str(tmp_path), *args])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_config_file_and_overrides(tmp_path):
     cfg = tmp_path / "chan.cfg"
     cfg.write_text("# channel setup\nW = 2.0\nlambda: 4.0\nrho = 100\nseed = 9\n")

@@ -12,9 +12,9 @@ from zcrate.distortion import (
     c0_constant,
     c1_of_k,
     c2_constant,
-    distortion_acf_upper,
     distortion_bounds,
 )
+from zcrate.level_crossing import AcfModel
 from zcrate.params import ChannelConfig, derive
 from zcrate.spectrum import g_mag_sq
 
@@ -161,7 +161,7 @@ class TestDistortionAcf:
     def test_lag_zero_matches_closed_forms(self):
         p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
         db = distortion_bounds(p)
-        assert distortion_acf_upper(0.0, p) == pytest.approx(db.sigma_xt_sq_hi, rel=1e-12)
+        assert AcfModel.distortion(p, "upper").s0 == pytest.approx(db.sigma_xt_sq_hi, rel=1e-12)
 
     def test_tail_moment_parity(self):
         # cosine moments are even in the lag, sine moment vanishes at 0
@@ -169,6 +169,32 @@ class TestDistortionAcf:
         m0 = acf_tail_moment(0, 0.35, "cos")
         assert m0 > 0
         assert acf_tail_moment(0, 0.0, "cos") > m0  # decays with lag
+
+    @pytest.mark.parametrize(
+        "m, r, kind",
+        [
+            (0, 0.0, "cos"),
+            (1, 0.37, "sin"),
+            (2, 1.0, "cos"),
+            (2, np.float64(0.61), "cos"),
+            (1, np.array(1.4), "sin"),
+        ],
+    )
+    def test_cache_matches_uncached_helper(self, m, r, kind):
+        from zcrate.distortion import _acf_tail_moment
+
+        first = acf_tail_moment(m, r, kind)
+        again = acf_tail_moment(m, r, kind)  # served from the cache
+        fresh = _acf_tail_moment.__wrapped__(m, float(r), kind)
+        assert type(first) is float
+        assert first == fresh and again == fresh  # bit for bit
+
+    def test_invalid_arguments_raise_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="m must be"):
+                acf_tail_moment(3, 0.5, "cos")
+            with pytest.raises(ValueError, match="kind must be"):
+                acf_tail_moment(0, 0.5, "tan")
 
     def test_excursion_scalefree_form(self):
         # erfc convention sanity: mean excursion at level 0 is pi sqrt(s/-s'')

@@ -181,6 +181,15 @@ class TestVarianceCrossings:
         assert v.variance >= 0.0
         assert v.excluded_mass < 1e-4
 
+    def test_pinned_values_at_mid_snr(self):
+        # pinned from an evaluation one lag row at a time
+        p = params_at(1.0, 10.0)
+        psi, psip, T = transition_curve(p)
+        v = variance_curve_crossings(psi, psip, T, AcfModel.total(p, "upper"))
+        assert v.variance == pytest.approx(0.004279691924236638, rel=1e-14)
+        assert v.expectation == pytest.approx(0.9986139681388198, rel=1e-14)
+        assert v.excluded_mass == pytest.approx(5.518190858249675e-08, rel=1e-14)
+
     def test_variance_vanishes_at_high_snr(self):
         p = params_at(1.0, 40.0)
         psi, psip, T = transition_curve(p)
