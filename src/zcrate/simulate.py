@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal as sig
+from scipy.fft import next_fast_len
 from scipy.special import ndtr
 
 from .params import ChannelConfig, DerivedParams, ZeroCrossingSeq, derive, sample_input_sequence
@@ -81,7 +81,10 @@ def synthesize(
     Each transition occupies [T_k - beta/2, T_k + beta/2] and the waveform is
     exactly +-sqrt(P_hat) outside transitions.  The signal starts on the +
     level; ``lead``/``tail`` extend the first/last plateau (guard room for
-    the circular filtering downstream).
+    the circular filtering downstream).  ``tail`` is a minimum: the last
+    plateau runs on until the sample count is a 5-smooth FFT length, so the
+    filters downstream never transform a length with a large prime factor.
+    Where two transitions share grid points, the later one sets them.
     """
     p = params
     beta = p.beta
@@ -98,17 +101,23 @@ def synthesize(
         raise ValueError("first transition does not fit the lead plateau")
     t_start = -lead
     n = int(math.ceil((T[-1] + beta / 2.0 + tail - t_start) / dt)) + 1
+    n = next_fast_len(n, real=True)
     t = t_start + dt * np.arange(n)
     amp = math.sqrt(p.P_hat)
 
     # plateau level after j completed transitions is (-1)^j * amp
     completed = np.searchsorted(T + beta / 2.0, t, side="right")
     x = amp * np.where(completed % 2 == 0, 1.0, -1.0)
-    for j, Tk in enumerate(T):
-        i0 = np.searchsorted(t, Tk - beta / 2.0, side="left")
-        i1 = np.searchsorted(t, Tk + beta / 2.0, side="right")
-        sign = -1.0 if j % 2 == 0 else 1.0
-        x[i0:i1] = sign * amp * np.sin(math.pi * (t[i0:i1] - Tk) / beta)
+    # transition j covers grid points i0[j] <= i < i1[j], cut short where the
+    # next transition starts so that the later one keeps the shared points
+    i0 = np.searchsorted(t, T - beta / 2.0, side="left")
+    i1 = np.searchsorted(t, T + beta / 2.0, side="right")
+    i1[:-1] = np.minimum(i1[:-1], i0[1:])
+    lengths = np.maximum(i1 - i0, 0)
+    j = np.repeat(np.arange(T.size), lengths)
+    idx = np.arange(j.size) + np.repeat(i0 - (np.cumsum(lengths) - lengths), lengths)
+    sign = np.where(j % 2 == 0, -1.0, 1.0)
+    x[idx] = sign * amp * np.sin(math.pi * (t[idx] - T[j]) / beta)
     return SampledWaveform(samples=x, dt=dt, t_start=t_start)
 
 
@@ -231,7 +240,6 @@ def match_crossings(tx: ZeroCrossingSeq, rx: ZeroCrossingSeq) -> MatchReport:
     """
     K = len(tx)
     counts = np.zeros(K, dtype=int)
-    best_abs = np.full(K, np.inf)
     best_off = np.full(K, np.nan)
     unassigned = 0
 
@@ -247,6 +255,7 @@ def match_crossings(tx: ZeroCrossingSeq, rx: ZeroCrossingSeq) -> MatchReport:
 
     pol_tx = tx.polarity()
     pol_rx = rx.polarity()
+    targets, offsets = [], []
     for polarity in (1, -1):
         tx_idx = np.nonzero(pol_tx == polarity)[0]
         rx_t = rx.times[pol_rx == polarity]
@@ -263,28 +272,26 @@ def match_crossings(tx: ZeroCrossingSeq, rx: ZeroCrossingSeq) -> MatchReport:
         d_right = np.abs(rx_t - tx_t[right])
         chosen = np.where(d_left <= d_right, left, right)  # tie -> earlier
         target = tx_idx[chosen]
+        targets.append(target)
+        offsets.append(rx_t - tx.times[target])
+    if targets:
+        target = np.concatenate(targets)
+        off = np.concatenate(offsets)
         np.add.at(counts, target, 1)
-        off = rx_t - tx.times[target]
-        order = np.argsort(np.abs(off), kind="stable")
-        for o in order:
-            tgt = target[o]
-            if abs(off[o]) < best_abs[tgt]:
-                best_abs[tgt] = abs(off[o])
-                best_off[tgt] = off[o]
+        # per target, the smallest |offset|; among equals the earliest assignee
+        order = np.lexsort((np.abs(off), target))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = target[order[1:]] != target[order[:-1]]
+        best_off[target[order[first]]] = off[order[first]]
 
     matched = counts > 0
     shift_samples = best_off[matched]
     extras = int(np.sum(np.maximum(counts - 1, 0)))
 
-    deletions = 0
-    j = 0
-    unmatched = ~matched
-    while j < K - 1:
-        if unmatched[j] and unmatched[j + 1]:
-            deletions += 1
-            j += 2
-        else:
-            j += 1
+    # a run of L unmatched transmitted crossings holds floor(L/2) deleted pairs
+    edges = np.diff(np.concatenate(([0], (~matched).astype(np.int8), [0])))
+    run_lengths = np.nonzero(edges == -1)[0] - np.nonzero(edges == 1)[0]
+    deletions = int(np.sum(run_lengths // 2))
 
     return MatchReport(
         n_insertions=extras // 2,
@@ -519,7 +526,9 @@ def empirical_psd(
     total_power = float(np.mean(xs**2))
     fs = 1.0 / dt
     nperseg = min(1 << 13, xs.size // 8)
-    f, pxx = sig.welch(
+    from scipy.signal import welch  # imported here: it is slow to import and used only here
+
+    f, pxx = welch(
         xs - xs.mean(), fs=fs, window="hann", nperseg=nperseg, detrend=False
     )
     df = f[1] - f[0]
@@ -570,8 +579,13 @@ def deletion_census(
     if min(lam, beta, W, rho, P_hat) <= 0:
         raise ValueError("lam, beta, W, rho, P_hat must all be positive")
     # signal-side parameters: derive with the matched bandwidth 1/(2 beta),
-    # then transmit through the decoupled filter W
-    p_sig = derive(ChannelConfig(W=1.0 / (2.0 * beta), lam=lam, rho=rho, P_hat=P_hat))
+    # then transmit through the decoupled filter W.  The beta derived back,
+    # 1/(2 (1/(2 beta))), can land an ulp off the beta given; keep the given
+    # one so that a dt of exactly beta/20 stays inside synthesize's limit.
+    p_sig = replace(
+        derive(ChannelConfig(W=1.0 / (2.0 * beta), lam=lam, rho=rho, P_hat=P_hat)),
+        beta=beta,
+    )
     N0 = p_sig.P / (rho * W)
     guard = max(20.0 * beta, 10.0 / W)
     rng_local = rng

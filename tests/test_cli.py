@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +99,23 @@ def test_bad_value_is_usage_error(tmp_path, capsys, args):
     assert rc == 2
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_deletions_dt_at_the_beta_limit(tmp_path):
+    # 1/(2 (1/(2 beta))) is an ulp below beta = 0.095; dt = beta/20 must still run
+    out = tmp_path / "del"
+    assert main(["--out", str(out), "deletions", "--beta-list", "0.095",
+                 "--dt", "0.00475", "--K", "50"]) == 0
+    rows = read_rows(out / "deletions.csv")
+    assert {float(r["beta"]) for r in rows} == {0.095}
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    code = "import sys, zcrate.cli; print('scipy.signal' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_config_file_and_overrides(tmp_path):

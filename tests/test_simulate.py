@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zcrate.bounds import sigma_S_sq
 from zcrate.distortion import distortion_bounds
@@ -26,6 +28,95 @@ from zcrate.simulate import (
 
 def params_at(k: float, rho_db: float, W: float = 1.0):
     return derive(ChannelConfig(W=W, lam=W / k, rho=10.0 ** (rho_db / 10.0)))
+
+
+def is_5_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def synthesize_loop(T, p, t_start, dt, n):
+    """Reference: the waveform built one transition at a time, later ones
+    overwriting earlier ones, on the grid t_start + dt * arange(n)."""
+    beta = p.beta
+    t = t_start + dt * np.arange(n)
+    amp = math.sqrt(p.P_hat)
+    completed = np.searchsorted(T + beta / 2.0, t, side="right")
+    x = amp * np.where(completed % 2 == 0, 1.0, -1.0)
+    for j, Tk in enumerate(T):
+        i0 = np.searchsorted(t, Tk - beta / 2.0, side="left")
+        i1 = np.searchsorted(t, Tk + beta / 2.0, side="right")
+        sign = -1.0 if j % 2 == 0 else 1.0
+        x[i0:i1] = sign * amp * np.sin(math.pi * (t[i0:i1] - Tk) / beta)
+    return x
+
+
+def match_loop(tx, rx):
+    """Reference: match_crossings with its best-offset and deletion loops."""
+    K = len(tx)
+    counts = np.zeros(K, dtype=int)
+    best_abs = np.full(K, np.inf)
+    best_off = np.full(K, np.nan)
+    unassigned = 0
+    if len(rx) == 0:
+        return 0, K // 2, np.empty(0), counts, 0, 0
+    pol_tx = tx.polarity()
+    pol_rx = rx.polarity()
+    for polarity in (1, -1):
+        tx_idx = np.nonzero(pol_tx == polarity)[0]
+        rx_t = rx.times[pol_rx == polarity]
+        if rx_t.size == 0:
+            continue
+        if tx_idx.size == 0:
+            unassigned += int(rx_t.size)
+            continue
+        tx_t = tx.times[tx_idx]
+        j = np.searchsorted(tx_t, rx_t)
+        left = np.clip(j - 1, 0, tx_t.size - 1)
+        right = np.clip(j, 0, tx_t.size - 1)
+        d_left = np.abs(rx_t - tx_t[left])
+        d_right = np.abs(rx_t - tx_t[right])
+        target = tx_idx[np.where(d_left <= d_right, left, right)]
+        np.add.at(counts, target, 1)
+        off = rx_t - tx.times[target]
+        for o in np.argsort(np.abs(off), kind="stable"):
+            if abs(off[o]) < best_abs[target[o]]:
+                best_abs[target[o]] = abs(off[o])
+                best_off[target[o]] = off[o]
+    matched = counts > 0
+    extras = int(np.sum(np.maximum(counts - 1, 0)))
+    deletions, j = 0, 0
+    while j < K - 1:
+        if not matched[j] and not matched[j + 1]:
+            deletions += 1
+            j += 2
+        else:
+            j += 1
+    return extras // 2, deletions, best_off[matched], counts, extras, unassigned
+
+
+@st.composite
+def tx_rx_pairs(draw):
+    """tx on a half-integer grid; rx keeps a subset of it with eighth-step
+    jitter and adds insertion pairs, so dropped runs, distance ties and
+    equal offsets all occur, as do one-polarity and empty rx."""
+    steps = draw(st.lists(st.integers(1, 6), min_size=1, max_size=30))
+    tx_t = 0.5 * np.cumsum(steps)
+    rx_t = []
+    for t in tx_t:
+        if draw(st.booleans()) or draw(st.booleans()):
+            rx_t.append(t + 0.125 * draw(st.integers(-4, 4)))
+    for _ in range(draw(st.integers(0, 4))):
+        a = 0.125 * draw(st.integers(0, 8 * int(tx_t[-1]) + 8))
+        rx_t += [a, a + 0.125 * draw(st.integers(1, 4))]
+    rx_t = np.unique(rx_t)
+    tx = ZeroCrossingSeq.from_times(tx_t, first_rising=draw(st.booleans()))
+    rx = ZeroCrossingSeq.from_times(
+        rx_t, first_rising=draw(st.booleans()) if rx_t.size else None
+    )
+    return tx, rx
 
 
 class TestSynthesize:
@@ -80,6 +171,52 @@ class TestSynthesize:
         tx = sample_input_sequence(p, 3, np.random.default_rng(3))
         with pytest.raises(ValueError, match="dt"):
             synthesize(tx, p, p.beta / 10.0)
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 80, 1000])
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    def test_length_is_5_smooth_and_tail_a_minimum(self, K, k):
+        p = params_at(k, 10.0)
+        dt = p.beta / 24.0
+        tail = 13.0 * p.beta
+        tx = sample_input_sequence(p, K, np.random.default_rng(K))
+        x = synthesize(tx, p, dt, lead=20.0 * p.beta, tail=tail)
+        assert is_5_smooth(len(x))
+        t = x.times()
+        end = tx.times[-1] + p.beta / 2.0
+        assert t[-1] >= end + tail - 1e-9
+        level = math.sqrt(p.P_hat) * (1.0 if K % 2 == 0 else -1.0)
+        assert np.all(x.samples[t > end] == level)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_transition_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        p = params_at([0.25, 0.5, 1.0, 2.0, 4.0, 1.0][seed], 10.0, W=[1.0, 0.7, 2.5][seed % 3])
+        tx = sample_input_sequence(p, int(rng.integers(2, 300)), rng)
+        dt = p.beta / [20.0, 24.0, 37.3][seed % 3]
+        x = synthesize(tx, p, dt)
+        ref = synthesize_loop(tx.times, p, x.t_start, dt, len(x))
+        assert np.array_equal(x.samples, ref)
+
+    def test_matches_loop_single_transition(self):
+        p = params_at(1.0, 10.0)
+        tx = ZeroCrossingSeq.from_spacings(np.array([0.83]), first_rising=False)
+        x = synthesize(tx, p, p.beta / 24.0)
+        assert np.array_equal(x.samples, synthesize_loop(tx.times, p, x.t_start, x.dt, len(x)))
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.6])
+    def test_matches_loop_where_transitions_touch(self, spacing):
+        """Spacing beta: with dt = 1/64 and a 10 s lead, every shared edge
+        T_k + beta/2 is a grid point written by both transitions.  Spacing
+        0.6 beta overlaps them by many samples; the later one must win."""
+        p = params_at(1.0, 10.0)  # beta = 0.5
+        tx = ZeroCrossingSeq.from_spacings(
+            np.full(9, spacing * p.beta), t0=0.5, first_rising=False
+        )
+        x = synthesize(tx, p, 1.0 / 64.0, lead=10.0)
+        edges = tx.times[:-1] + p.beta / 2.0
+        if spacing == 1.0:
+            assert np.all(np.isin(edges, x.times()))
+        assert np.array_equal(x.samples, synthesize_loop(tx.times, p, x.t_start, x.dt, len(x)))
 
 
 class TestIdealLp:
@@ -218,6 +355,23 @@ class TestMatch:
         rep = match_crossings(tx, rx)
         assert rep.n_deletions == 2
         assert rep.shift_samples.size == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(tx_rx_pairs())
+    @example((ZeroCrossingSeq.from_times(np.array([1.0]), first_rising=True),
+              ZeroCrossingSeq.from_times(np.array([0.5, 1.0, 1.5]), first_rising=False)))
+    @example((ZeroCrossingSeq.from_times(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), first_rising=False),
+              ZeroCrossingSeq.from_times(np.array([0.75, 1.25, 2.0]), first_rising=False)))
+    def test_matches_reference_loops(self, pair):
+        tx, rx = pair
+        rep = match_crossings(tx, rx)
+        ins, dels, shifts, counts, extras, unassigned = match_loop(tx, rx)
+        assert rep.n_insertions == ins
+        assert rep.n_deletions == dels
+        assert np.array_equal(rep.shift_samples, shifts)
+        assert np.array_equal(rep.per_symbol_counts, counts)
+        assert rep.n_extra_crossings == extras
+        assert rep.n_unassigned_rx == unassigned
 
     def test_deterministic(self):
         # identical seeds give a bit-identical report, field by field
