@@ -17,8 +17,6 @@ from .bounds import (
     delta_offset,
     high_snr_limit,
     k_opt,
-    lower_bound_rate,
-    upper_bound_rate,
 )
 from .level_crossing import AcfModel
 
@@ -41,8 +39,6 @@ __all__ = [
     "distortion_bounds",
     "BoundReport",
     "bound_report",
-    "lower_bound_rate",
-    "upper_bound_rate",
     "delta_offset",
     "k_opt",
     "high_snr_limit",

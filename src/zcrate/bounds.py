@@ -35,8 +35,6 @@ __all__ = [
     "waterfill_nu",
     "waterfill_residual",
     "bound_report",
-    "lower_bound_rate",
-    "upper_bound_rate",
     "f1_pure_k",
     "mu_bar_pure_k",
     "lower_rate_pure_k",
@@ -217,16 +215,6 @@ def bound_report(params: DerivedParams) -> BoundReport:
         awgn=p.W * math.log1p(p.rho),
         clamped=lower_raw < 0.0,
     )
-
-
-def lower_bound_rate(params: DerivedParams) -> BoundReport:
-    """Bound report (spec entry point for the lower side)."""
-    return bound_report(params)
-
-
-def upper_bound_rate(params: DerivedParams) -> BoundReport:
-    """Bound report (spec entry point for the upper side)."""
-    return bound_report(params)
 
 
 # ---------------------------------------------------------------------------

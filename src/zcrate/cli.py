@@ -668,11 +668,16 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             raise UsageError("K must be >= 1000")
         grid = {"k_list": parse_list(args.k_list), "K": args.K}
     elif sc == "transition-census":
+        if args.mc_trials < 0:
+            raise UsageError(f"mc_trials must be >= 0, got {args.mc_trials}")
         grid = {"rho_db": parse_list(args.rho_db), "k_list": parse_list(args.k_list),
                 "mc_trials": args.mc_trials}
     elif sc in ("gauss-check", "excursion"):
         grid = {"rho_db": parse_list(args.rho_db), "k_list": parse_list(args.k_list)}
     elif sc == "lp-distortion":
+        if args.n_time < 1 or args.n_ensemble < 1:
+            raise UsageError(f"n_time and n_ensemble must be >= 1, "
+                             f"got {args.n_time} and {args.n_ensemble}")
         grid = {"k_list": parse_list(args.k_list), "n_time": args.n_time,
                 "n_ensemble": args.n_ensemble}
     elif sc == "deletions":
@@ -680,6 +685,8 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
                 "ratio_list": parse_list(args.ratio_list), "K": args.K, "dt": args.dt}
     elif sc == "simulate":
         grid = {"K": args.K, "dump_crossings": bool(args.dump_crossings)}
+    if sc in ("deletions", "simulate") and grid["K"] < 1:
+        raise UsageError(f"K must be >= 1, got {grid['K']}")
     for key in ("rho_db", "k_list", "beta_list", "ratio_list"):
         if key in grid and not grid[key]:
             raise UsageError(f"empty grid for {key}")

@@ -15,6 +15,7 @@ circular edge effects of FFT-based filtering; analysis windows stay inside.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,7 +49,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampledWaveform:
-    """Uniformly sampled real signal."""
+    """Uniformly sampled real signal.
+
+    A 2-D ``samples`` array holds one signal per row, all on the same grid;
+    ``len`` and ``times`` refer to the last axis.
+    """
 
     samples: np.ndarray
     dt: float
@@ -59,18 +64,25 @@ class SampledWaveform:
         object.__setattr__(self, "samples", samples)
         if not (self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if samples.size < 2:
+        if samples.ndim == 0 or samples.shape[-1] < 2:
             raise ValueError("waveform needs at least 2 samples")
 
     def times(self) -> np.ndarray:
-        return self.t_start + self.dt * np.arange(self.samples.size)
+        return self.t_start + self.dt * np.arange(len(self))
 
     def __len__(self) -> int:
-        return int(self.samples.size)
+        return int(self.samples.shape[-1])
+
+
+def _sample_count(t_last: float, beta: float, dt: float, lead: float, tail: float) -> int:
+    """Samples from -lead to the end of the last transition plus ``tail``,
+    rounded up to a 5-smooth FFT length."""
+    n = int(math.ceil((t_last + beta / 2.0 + tail + lead) / dt)) + 1
+    return next_fast_len(n, real=True)
 
 
 def synthesize(
-    zcs: ZeroCrossingSeq,
+    zcs: ZeroCrossingSeq | Sequence[ZeroCrossingSeq],
     params: DerivedParams,
     dt: float,
     lead: float | None = None,
@@ -85,6 +97,10 @@ def synthesize(
     plateau runs on until the sample count is a 5-smooth FFT length, so the
     filters downstream never transform a length with a large prime factor.
     Where two transitions share grid points, the later one sets them.
+
+    Given a sequence of crossing sequences, builds one row per sequence on
+    a common grid (a ``(rows, n)`` array) whose length is the longest row's;
+    a row that would be shorter on its own runs its last plateau on further.
     """
     p = params
     beta = p.beta
@@ -94,43 +110,56 @@ def synthesize(
         lead = 20.0 * beta
     if tail is None:
         tail = 20.0 * beta
-    T = zcs.times
-    if T.size == 0:
+    batch = not isinstance(zcs, ZeroCrossingSeq)
+    Ts = [z.times for z in zcs] if batch else [zcs.times]
+    if not Ts or any(T.size == 0 for T in Ts):
         raise ValueError("empty crossing sequence")
-    if T[0] - beta / 2.0 <= -lead:
+    if any(T[0] - beta / 2.0 <= -lead for T in Ts):
         raise ValueError("first transition does not fit the lead plateau")
     t_start = -lead
-    n = int(math.ceil((T[-1] + beta / 2.0 + tail - t_start) / dt)) + 1
-    n = next_fast_len(n, real=True)
+    n = max(_sample_count(T[-1], beta, dt, lead, tail) for T in Ts)
     t = t_start + dt * np.arange(n)
     amp = math.sqrt(p.P_hat)
 
-    # plateau level after j completed transitions is (-1)^j * amp
-    completed = np.searchsorted(T + beta / 2.0, t, side="right")
-    x = amp * np.where(completed % 2 == 0, 1.0, -1.0)
-    # transition j covers grid points i0[j] <= i < i1[j], cut short where the
-    # next transition starts so that the later one keeps the shared points
+    # transitions of every row, flattened; j counts transitions within a row
+    sizes = np.array([T.size for T in Ts])
+    T = np.concatenate(Ts)
+    row = np.repeat(np.arange(sizes.size), sizes)
+    j = np.arange(T.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    x = np.zeros((sizes.size, n))
+    # plateaus: +amp, flipped by a step of -+2 amp at the first grid point at
+    # or after each transition's end; every partial sum is exactly +-amp
+    x[:, 0] = amp
+    done = np.searchsorted(t, T + beta / 2.0, side="left")
+    inside = done < n
+    np.add.at(x, (row[inside], done[inside]), np.where(j[inside] % 2 == 0, -2.0 * amp, 2.0 * amp))
+    np.cumsum(x, axis=1, out=x)
+    # transition k covers grid points i0[k] <= i < i1[k], cut short where the
+    # next transition of its row starts so that the later one keeps the
+    # shared points
     i0 = np.searchsorted(t, T - beta / 2.0, side="left")
     i1 = np.searchsorted(t, T + beta / 2.0, side="right")
-    i1[:-1] = np.minimum(i1[:-1], i0[1:])
+    same_row = row[1:] == row[:-1]
+    i1[:-1][same_row] = np.minimum(i1[:-1][same_row], i0[1:][same_row])
     lengths = np.maximum(i1 - i0, 0)
-    j = np.repeat(np.arange(T.size), lengths)
-    idx = np.arange(j.size) + np.repeat(i0 - (np.cumsum(lengths) - lengths), lengths)
-    sign = np.where(j % 2 == 0, -1.0, 1.0)
-    x[idx] = sign * amp * np.sin(math.pi * (t[idx] - T[j]) / beta)
-    return SampledWaveform(samples=x, dt=dt, t_start=t_start)
+    k = np.repeat(np.arange(T.size), lengths)
+    idx = np.arange(k.size) + np.repeat(i0 - (np.cumsum(lengths) - lengths), lengths)
+    sign = np.where(j[k] % 2 == 0, -1.0, 1.0)
+    x[row[k], idx] = sign * amp * np.sin(math.pi * (t[idx] - T[k]) / beta)
+    return SampledWaveform(samples=x if batch else x[0], dt=dt, t_start=t_start)
 
 
 def ideal_lp(w: SampledWaveform, W: float) -> SampledWaveform:
-    """Brick-wall lowpass with one-sided bandwidth W and unit in-band gain."""
+    """Brick-wall lowpass with one-sided bandwidth W and unit in-band gain,
+    applied to each row of a batch."""
     fs = 1.0 / w.dt
     if fs < 2.0 * W:
         raise ValueError(f"sample rate {fs:.3g} below Nyquist for W = {W:.3g}")
     n = len(w)
-    X = np.fft.rfft(w.samples)
+    X = np.fft.rfft(w.samples, axis=-1)
     f = np.fft.rfftfreq(n, w.dt)
-    X[f > W] = 0.0
-    return SampledWaveform(samples=np.fft.irfft(X, n), dt=w.dt, t_start=w.t_start)
+    X[..., f > W] = 0.0
+    return SampledWaveform(samples=np.fft.irfft(X, n, axis=-1), dt=w.dt, t_start=w.t_start)
 
 
 def gen_bandlimited_noise(
@@ -322,9 +351,6 @@ class SimulationRun:
     report: MatchReport
     sigma_xt_emp: float   # measured lowpass-distortion variance of this run
     slope_sq_emp: float   # mean of xf'(T_k)^2 over the transmitted crossings
-    noise_var_emp: float
-    duration: float
-    n_samples: int
 
 
 def run_chain(
@@ -357,9 +383,6 @@ def run_chain(
         report=report,
         sigma_xt_emp=float(np.var(xt)),
         slope_sq_emp=float(np.mean(slope_at(xf, tx.times) ** 2)),
-        noise_var_emp=float(np.var(noise.samples)),
-        duration=len(x) * dt,
-        n_samples=len(x),
     )
 
 
@@ -417,6 +440,12 @@ def _census_chunk(p: DerivedParams, K: int, dt: float, rng: np.random.Generator)
     return (hi - lo).astype(int)
 
 
+# Samples per batched synthesize/ideal_lp call in the ensemble leg of
+# lp_distortion_stats.  Bounds the memory a block holds (a few arrays of this
+# many doubles); larger blocks save little more time.
+_ENSEMBLE_BLOCK_SAMPLES = 1 << 16
+
+
 @dataclass(frozen=True)
 class LpDistortionStats:
     """Empirical statistics of the lowpass distortion (filtered minus raw signal)."""
@@ -447,6 +476,10 @@ def lp_distortion_stats(
     the moment-matched Gaussian uses the binned masses.  The ensemble leg
     probes three fixed interior instants across independent realizations.
     """
+    if n_time_samples < 1 or n_ensemble < 1:
+        raise ValueError(
+            f"n_time_samples and n_ensemble must be >= 1, got {n_time_samples}, {n_ensemble}"
+        )
     p = params
     dt = p.beta / 20.0
     guard = 40.0 * p.beta
@@ -476,15 +509,29 @@ def lp_distortion_stats(
     K_e = 80
     probes = np.array([25.0, 31.0, 37.0]) * p.T_avg
     vals = np.empty((3, n_ensemble))
+
+    def probe_block(block: list[tuple[int, ZeroCrossingSeq]]) -> None:
+        x = synthesize([txi for _, txi in block], p, dt, lead=guard, tail=guard)
+        xf = ideal_lp(x, p.W)
+        idx = np.round((probes - x.t_start) / dt).astype(int)
+        vals[:, [i for i, _ in block]] = (xf.samples[:, idx] - x.samples[:, idx]).T
+
+    # Realizations are drawn one at a time, so the RNG stream does not depend
+    # on the batching.  Each keeps its own sample count, and with it its own
+    # filter period: it is batched only with realizations of the same count,
+    # in blocks of at most _ENSEMBLE_BLOCK_SAMPLES samples (or one row).
+    pending: dict[int, list[tuple[int, ZeroCrossingSeq]]] = {}
     for i in range(n_ensemble):
         txi = sample_input_sequence(p, K_e, rng)
         while txi.times[-1] <= probes[-1] + p.beta:  # vanishingly rare
             txi = sample_input_sequence(p, 2 * K_e, rng)
-        xi = synthesize(txi, p, dt, lead=guard, tail=guard)
-        xfi = ideal_lp(xi, p.W)
-        xti = xfi.samples - xi.samples
-        idx = np.round((probes - xi.t_start) / dt).astype(int)
-        vals[:, i] = xti[idx]
+        n = _sample_count(txi.times[-1], p.beta, dt, guard, guard)
+        block = pending.setdefault(n, [])
+        block.append((i, txi))
+        if (len(block) + 1) * n > _ENSEMBLE_BLOCK_SAMPLES:
+            probe_block(pending.pop(n))
+    for block in pending.values():
+        probe_block(block)
     mean_ens = vals.mean(axis=1)
     var_ens = vals.var(axis=1)
     return LpDistortionStats(
@@ -508,8 +555,6 @@ class EmpiricalPsd:
 
     f: np.ndarray          # Hz, DC bin excluded
     psd: np.ndarray        # W/Hz, two-sided convention (matches the analytic PSD)
-    total_power: float
-    out_of_band_power: float
 
 
 def empirical_psd(
@@ -523,7 +568,6 @@ def empirical_psd(
     x = synthesize(tx, p, dt, lead=20.0 * p.beta, tail=20.0 * p.beta)
     sl = _interior_slice(x, 0.0, tx.times[-1])
     xs = x.samples[sl]
-    total_power = float(np.mean(xs**2))
     fs = 1.0 / dt
     nperseg = min(1 << 13, xs.size // 8)
     from scipy.signal import welch  # imported here: it is slow to import and used only here
@@ -531,14 +575,7 @@ def empirical_psd(
     f, pxx = welch(
         xs - xs.mean(), fs=fs, window="hann", nperseg=nperseg, detrend=False
     )
-    df = f[1] - f[0]
-    out_of_band = float(pxx[f > p.W].sum() * df)
-    return EmpiricalPsd(
-        f=f[1:],
-        psd=pxx[1:] / 2.0,
-        total_power=total_power,
-        out_of_band_power=out_of_band,
-    )
+    return EmpiricalPsd(f=f[1:], psd=pxx[1:] / 2.0)
 
 
 @dataclass(frozen=True)

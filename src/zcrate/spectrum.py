@@ -120,22 +120,6 @@ def pdf_L(l, n: int, lam: float, beta: float):
     return float(out[0]) if scalar else out
 
 
-def g_mag_sq_general(omega, beta: float, a_func):
-    """Pulse-spectrum magnitude for an arbitrary odd transition shape.
-
-    Extension point: ``a_func(omega)`` must return the real transition-shape
-    integral a(w) of the chosen waveform.  For the sine halfwave this reduces
-    to :func:`g_mag_sq`; only the sine path is exercised by the shipped
-    experiments.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega == 0):
-        raise PoleError("g_mag_sq_general has a pole at omega = 0")
-    x = omega * beta
-    a = np.asarray(a_func(omega), dtype=float)
-    return 2.0 * (1.0 + np.cos(x)) / omega**2 + a**2 + 4.0 * a / omega * np.cos(x / 2.0)
-
-
 @dataclass(frozen=True)
 class PsdBounds:
     """Evaluator pair for the PSD sandwich; both sides even in omega.

@@ -92,7 +92,16 @@ def test_invalid_grid_exit_code(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("args", [["psd", "--k-list", "0"], ["deletions", "--dt", "1"]])
+@pytest.mark.parametrize("args", [
+    ["psd", "--k-list", "0"],
+    ["deletions", "--dt", "1"],
+    ["lp-distortion", "--n-ensemble", "0"],
+    ["lp-distortion", "--n-ensemble", "-3"],
+    ["lp-distortion", "--n-time", "0"],
+    ["simulate", "--K", "0"],
+    ["deletions", "--K", "0"],
+    ["transition-census", "--mc-trials", "-1"],
+])
 def test_bad_value_is_usage_error(tmp_path, capsys, args):
     rc = main(["--out", str(tmp_path), *args])
     err = capsys.readouterr().err

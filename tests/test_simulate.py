@@ -219,6 +219,42 @@ class TestSynthesize:
         assert np.array_equal(x.samples, synthesize_loop(tx.times, p, x.t_start, x.dt, len(x)))
 
 
+    @pytest.mark.parametrize("dt_div", [20.0, 24.0, 37.3])
+    def test_batch_rows_match_single_calls_and_loop(self, dt_div):
+        """One batch holding random rows of several lengths, a single
+        transition and touching transitions: each row equals the 1-D call on
+        the 1-D call's samples, holds its last level after them, and equals
+        the loop on the batch's grid."""
+        p = params_at(1.0, 10.0)  # beta = 0.5
+        rng = np.random.default_rng(int(dt_div))
+        rows = [sample_input_sequence(p, K, rng) for K in (80, 3, 80, 41)]
+        rows.insert(2, ZeroCrossingSeq.from_spacings(np.array([0.83]), first_rising=False))
+        rows.append(ZeroCrossingSeq.from_spacings(np.full(9, p.beta), t0=0.5, first_rising=False))
+        dt = p.beta / dt_div
+        lead = 10.0
+        xb = synthesize(rows, p, dt, lead=lead)
+        assert xb.samples.shape == (len(rows), len(xb))
+        for tx, row in zip(rows, xb.samples):
+            x1 = synthesize(tx, p, dt, lead=lead)
+            assert x1.t_start == xb.t_start
+            assert np.array_equal(row[: len(x1)], x1.samples)
+            assert np.all(row[len(x1):] == x1.samples[-1])
+            assert np.array_equal(row, synthesize_loop(tx.times, p, xb.t_start, dt, len(xb)))
+
+    def test_batch_of_one_is_the_1d_call(self):
+        p = params_at(2.0, 10.0)
+        tx = sample_input_sequence(p, 80, np.random.default_rng(4))
+        x1 = synthesize(tx, p, p.beta / 20.0)
+        xb = synthesize([tx], p, p.beta / 20.0)
+        assert xb.samples.shape == (1, len(x1))
+        assert np.array_equal(xb.samples[0], x1.samples)
+
+    def test_rejects_empty_batch(self):
+        p = params_at(1.0, 10.0)
+        with pytest.raises(ValueError, match="empty"):
+            synthesize([], p, p.beta / 20.0)
+
+
 class TestIdealLp:
     def setup_method(self):
         self.dt = 1.0 / 64.0
@@ -247,6 +283,15 @@ class TestIdealLp:
         x = SampledWaveform(rng.standard_normal(self.n), self.dt)
         y = ideal_lp(x, 4.0)
         assert np.mean(y.samples**2) <= np.mean(x.samples**2)
+
+    @pytest.mark.parametrize("n", [4096, 4095, 6250])
+    def test_batch_rows_match_per_row_call(self, n):
+        rng = np.random.default_rng(n)
+        rows = SampledWaveform(rng.standard_normal((5, n)), self.dt, t_start=-1.5)
+        yb = ideal_lp(rows, 4.0)
+        assert yb.samples.shape == (5, n) and yb.t_start == -1.5
+        for x, y in zip(rows.samples, yb.samples):
+            assert np.array_equal(y, ideal_lp(SampledWaveform(x, self.dt), 4.0).samples)
 
     def test_rejects_sub_nyquist(self):
         x = SampledWaveform(np.zeros(128) + 1.0, 1.0)
@@ -508,6 +553,131 @@ class TestLpDistortionStats:
         widths = np.diff(st.hist_edges)
         assert np.allclose(widths, widths[0])
         assert widths[0] <= st.bin_width * 1.01
+
+
+def ensemble_loop(p, n_time_samples, n_ensemble, rng):
+    """Reference: the ensemble leg of lp_distortion_stats one realization
+    at a time, after the draw of its time leg; returns the probed values."""
+    dt = p.beta / 20.0
+    guard = 40.0 * p.beta
+    sample_input_sequence(p, int(math.ceil(n_time_samples * dt / p.T_avg)) + 50, rng)
+    probes = np.array([25.0, 31.0, 37.0]) * p.T_avg
+    vals = np.empty((3, n_ensemble))
+    for i in range(n_ensemble):
+        txi = sample_input_sequence(p, 80, rng)
+        while txi.times[-1] <= probes[-1] + p.beta:
+            txi = sample_input_sequence(p, 160, rng)
+        xi = synthesize(txi, p, dt, lead=guard, tail=guard)
+        xti = ideal_lp(xi, p.W).samples - xi.samples
+        vals[:, i] = xti[np.round((probes - xi.t_start) / dt).astype(int)]
+    return vals
+
+
+class ZeroSpacingsOnce:
+    """A Generator whose ``exponential`` draw number ``call`` returns zeros,
+    so that realization holds every spacing at the minimum beta."""
+
+    def __init__(self, seed, call):
+        self.rng = np.random.default_rng(seed)
+        self.call = call
+        self.calls = 0
+
+    def exponential(self, scale, size):
+        self.calls += 1
+        draw = self.rng.exponential(scale, size=size)
+        return np.zeros(size) if self.calls == self.call else draw
+
+
+class TestLpDistortionEnsemble:
+    # pinned from the realization-at-a-time loop, seed 21, n_time 2000, n_ensemble 50
+    PINNED = {
+        0.5: ([0.035549229499894974, -0.0015621361772837094, -0.020905538195335423],
+              [0.02389663403401963, 0.023764463285893257, 0.032820123672261114],
+              0.02737580271512241),
+        1.0: ([0.007205096044521622, -0.025126197624646577, -0.0019507299179695758],
+              [0.023777248452383267, 0.025528894379402072, 0.011943309008331026],
+              0.020601622169238862),
+        2.0: ([0.01124174790076464, -0.01770565299821431, -0.01776096054880423],
+              [0.008549533746162461, 0.023004057793192895, 0.016999282488113176],
+              0.016370859361949743),
+    }
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_pinned_values(self, k):
+        mean, var, pooled = self.PINNED[k]
+        st = lp_distortion_stats(params_at(k, 10.0), 2000, 50, np.random.default_rng(21))
+        assert st.mean_ensemble == pytest.approx(mean, rel=1e-14)
+        assert st.var_ensemble == pytest.approx(var, rel=1e-14)
+        assert st.var_ensemble_pooled == pytest.approx(pooled, rel=1e-14)
+
+    def test_redraw_gets_its_own_block_and_matches_loop(self, monkeypatch):
+        """Realization 4 (draw 5, after the time leg's) has all spacings at
+        beta, ends before the last probe and is redrawn with 160 symbols; its
+        sample count differs from every 80-symbol one, so it is filtered in a
+        block of its own, with its own filter period."""
+        import zcrate.simulate as sim
+
+        p = params_at(1.0, 10.0)
+        batches = []
+
+        def spy(zcs, *args, **kwargs):
+            if isinstance(zcs, list):  # the ensemble leg's batches
+                batches.append([len(z) for z in zcs])
+            return synthesize(zcs, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "synthesize", spy)
+        rng = ZeroSpacingsOnce(22, call=5)
+        st = lp_distortion_stats(p, 2000, 30, rng)
+        assert rng.calls == 32  # time leg, 30 realizations, one redraw
+        assert sorted(sum(batches, [])) == [80] * 29 + [160]
+        assert [160] in batches
+        vals = ensemble_loop(p, 2000, 30, ZeroSpacingsOnce(22, call=5))
+        assert np.array_equal(st.mean_ensemble, vals.mean(axis=1))
+        assert np.array_equal(st.var_ensemble, vals.var(axis=1))
+        assert st.var_ensemble_pooled == vals.var()
+
+    def test_blocks_match_loop_across_block_edges(self):
+        """At k = 0.25 an 80-symbol realization spans about 4k samples (16
+        rows to a block), so the 120 realizations fill several blocks of
+        some sample counts and leave partial blocks of others."""
+        p = params_at(0.25, 10.0)
+        st = lp_distortion_stats(p, 2000, 120, np.random.default_rng(23))
+        vals = ensemble_loop(p, 2000, 120, np.random.default_rng(23))
+        assert np.array_equal(st.mean_ensemble, vals.mean(axis=1))
+        assert np.array_equal(st.var_ensemble, vals.var(axis=1))
+
+    @pytest.mark.parametrize("n_time, n_ensemble", [(0, 10), (2000, 0), (2000, -3)])
+    def test_rejects_empty_legs(self, n_time, n_ensemble):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            lp_distortion_stats(params_at(1.0, 10.0), n_time, n_ensemble,
+                                np.random.default_rng(0))
+
+
+class TestBlockEdge:
+    def test_guard_convergence_k1(self):
+        """The FFT filter is circular: the 200-symbol pattern repeats after
+        the lead and tail plateaus, and the sinc tails of the copies reach
+        the analysis window.  Against an 8000-beta guard, the error of the
+        filtered signal falls as the guard grows; at run_chain's 40-beta
+        guard it is pinned (seed 0, dt = beta/24)."""
+        p = params_at(1.0, 10.0)
+        dt = p.beta / 24.0
+        tx = sample_input_sequence(p, 200, np.random.default_rng(0))
+        lo, hi = -2.0 * p.beta, tx.times[-1] + 2.0 * p.beta
+
+        def filtered(guard):
+            x = synthesize(tx, p, dt, lead=guard * p.beta, tail=guard * p.beta)
+            i0, i1 = np.round((np.array([lo, hi]) - x.t_start) / dt).astype(int)
+            return ideal_lp(x, p.W).samples[i0:i1]
+
+        ref = filtered(8000.0)
+        errors = [filtered(g) - ref for g in (40.0, 160.0, 640.0)]
+        peak = [float(np.max(np.abs(e))) for e in errors]
+        rms = [float(np.sqrt(np.mean(e**2))) for e in errors]
+        assert peak[0] > peak[1] > peak[2]
+        assert rms[0] > rms[1] > rms[2]
+        assert peak[0] == pytest.approx(0.01798280880731895, rel=1e-6)
+        assert rms[0] == pytest.approx(0.009538925905519576, rel=1e-6)
 
 
 class TestDeletions:
