@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 
 from .distortion import DistortionBounds, c0_constant, c1_of_k, c2_constant, distortion_bounds
 from .params import DerivedParams
-from .quadrature import gauss_legendre, log_sine_integral
+from .quadrature import NumericalError, gauss_legendre, log_sine_integral
 
 __all__ = [
     "BoundReport",
@@ -276,7 +276,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def k_opt(rho: float, bracket: tuple[float, float] = (0.05, 5.0), tol: float = 1e-4) -> float:
-    """Ratio k minimizing the AWGN offset at a given SNR (golden-section search)."""
+    """Ratio k minimizing the AWGN offset at a given SNR (golden-section search).
+
+    Raises NumericalError when the offset is infinite (the lower bound
+    nonpositive) at every probed k: there is no minimum to find, and the
+    search would return the bracket edge.
+    """
     lo, hi = bracket
     if not (0 < lo < hi):
         raise ValueError(f"invalid bracket {bracket}")
@@ -284,15 +289,22 @@ def k_opt(rho: float, bracket: tuple[float, float] = (0.05, 5.0), tol: float = 1
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = delta_offset(c, rho), delta_offset(d, rho)
+    finite = math.isfinite(fc) or math.isfinite(fd)
     while b - a > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
             fc = delta_offset(c, rho)
+            finite = finite or math.isfinite(fc)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = delta_offset(d, rho)
+            finite = finite or math.isfinite(fd)
+    if not finite:
+        raise NumericalError(
+            f"the lower bound is nonpositive at every probed k in {bracket} at rho = {rho:g}"
+        )
     return 0.5 * (a + b)
 
 

@@ -171,8 +171,19 @@ def sample_input_sequence(
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    spacings = params.beta + rng.exponential(1.0 / params.lam, size=K)
+    spacings = _draw_spacings(params, K, rng)
     return ZeroCrossingSeq.from_spacings(spacings, t0=0.0, first_rising=False)
+
+
+def _draw_spacings(
+    params: DerivedParams, size: int | tuple[int, ...], rng: np.random.Generator
+) -> np.ndarray:
+    """The spacing law: beta plus an Exp(lambda) tail, i.i.d.
+
+    One draw of shape ``(n, K)`` is bit-identical to n sequential draws of K
+    and leaves the generator in the same state.
+    """
+    return params.beta + rng.exponential(1.0 / params.lam, size=size)
 
 
 def awgn_capacity(config: ChannelConfig) -> float:

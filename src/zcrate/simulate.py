@@ -15,14 +15,20 @@ circular edge effects of FFT-based filtering; analysis windows stay inside.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.special import ndtr
+from scipy.special import ndtr, sici
 
-from .params import ChannelConfig, DerivedParams, ZeroCrossingSeq, derive, sample_input_sequence
+from .params import (
+    ChannelConfig,
+    DerivedParams,
+    ZeroCrossingSeq,
+    _draw_spacings,
+    derive,
+    sample_input_sequence,
+)
 
 __all__ = [
     "SampledWaveform",
@@ -38,6 +44,8 @@ __all__ = [
     "run_chain",
     "CensusResult",
     "transition_crossing_census",
+    "transition_distortion",
+    "lp_distortion_at",
     "LpDistortionStats",
     "lp_distortion_stats",
     "EmpiricalPsd",
@@ -49,11 +57,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampledWaveform:
-    """Uniformly sampled real signal.
-
-    A 2-D ``samples`` array holds one signal per row, all on the same grid;
-    ``len`` and ``times`` refer to the last axis.
-    """
+    """Uniformly sampled real signal."""
 
     samples: np.ndarray
     dt: float
@@ -64,25 +68,18 @@ class SampledWaveform:
         object.__setattr__(self, "samples", samples)
         if not (self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if samples.ndim == 0 or samples.shape[-1] < 2:
-            raise ValueError("waveform needs at least 2 samples")
+        if samples.ndim != 1 or samples.size < 2:
+            raise ValueError("waveform needs a 1-D array of at least 2 samples")
 
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(len(self))
 
     def __len__(self) -> int:
-        return int(self.samples.shape[-1])
-
-
-def _sample_count(t_last: float, beta: float, dt: float, lead: float, tail: float) -> int:
-    """Samples from -lead to the end of the last transition plus ``tail``,
-    rounded up to a 5-smooth FFT length."""
-    n = int(math.ceil((t_last + beta / 2.0 + tail + lead) / dt)) + 1
-    return next_fast_len(n, real=True)
+        return int(self.samples.size)
 
 
 def synthesize(
-    zcs: ZeroCrossingSeq | Sequence[ZeroCrossingSeq],
+    zcs: ZeroCrossingSeq,
     params: DerivedParams,
     dt: float,
     lead: float | None = None,
@@ -97,10 +94,6 @@ def synthesize(
     plateau runs on until the sample count is a 5-smooth FFT length, so the
     filters downstream never transform a length with a large prime factor.
     Where two transitions share grid points, the later one sets them.
-
-    Given a sequence of crossing sequences, builds one row per sequence on
-    a common grid (a ``(rows, n)`` array) whose length is the longest row's;
-    a row that would be shorter on its own runs its last plateau on further.
     """
     p = params
     beta = p.beta
@@ -110,56 +103,48 @@ def synthesize(
         lead = 20.0 * beta
     if tail is None:
         tail = 20.0 * beta
-    batch = not isinstance(zcs, ZeroCrossingSeq)
-    Ts = [z.times for z in zcs] if batch else [zcs.times]
-    if not Ts or any(T.size == 0 for T in Ts):
+    T = zcs.times
+    if T.size == 0:
         raise ValueError("empty crossing sequence")
-    if any(T[0] - beta / 2.0 <= -lead for T in Ts):
+    if T[0] - beta / 2.0 <= -lead:
         raise ValueError("first transition does not fit the lead plateau")
     t_start = -lead
-    n = max(_sample_count(T[-1], beta, dt, lead, tail) for T in Ts)
+    n = next_fast_len(int(math.ceil((T[-1] + beta / 2.0 + tail + lead) / dt)) + 1, real=True)
     t = t_start + dt * np.arange(n)
     amp = math.sqrt(p.P_hat)
 
-    # transitions of every row, flattened; j counts transitions within a row
-    sizes = np.array([T.size for T in Ts])
-    T = np.concatenate(Ts)
-    row = np.repeat(np.arange(sizes.size), sizes)
-    j = np.arange(T.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    x = np.zeros((sizes.size, n))
+    j = np.arange(T.size)
+    x = np.zeros(n)
     # plateaus: +amp, flipped by a step of -+2 amp at the first grid point at
     # or after each transition's end; every partial sum is exactly +-amp
-    x[:, 0] = amp
+    x[0] = amp
     done = np.searchsorted(t, T + beta / 2.0, side="left")
     inside = done < n
-    np.add.at(x, (row[inside], done[inside]), np.where(j[inside] % 2 == 0, -2.0 * amp, 2.0 * amp))
-    np.cumsum(x, axis=1, out=x)
+    np.add.at(x, done[inside], np.where(j[inside] % 2 == 0, -2.0 * amp, 2.0 * amp))
+    np.cumsum(x, out=x)
     # transition k covers grid points i0[k] <= i < i1[k], cut short where the
-    # next transition of its row starts so that the later one keeps the
-    # shared points
+    # next transition starts so that the later one keeps the shared points
     i0 = np.searchsorted(t, T - beta / 2.0, side="left")
     i1 = np.searchsorted(t, T + beta / 2.0, side="right")
-    same_row = row[1:] == row[:-1]
-    i1[:-1][same_row] = np.minimum(i1[:-1][same_row], i0[1:][same_row])
+    i1[:-1] = np.minimum(i1[:-1], i0[1:])
     lengths = np.maximum(i1 - i0, 0)
-    k = np.repeat(np.arange(T.size), lengths)
+    k = np.repeat(j, lengths)
     idx = np.arange(k.size) + np.repeat(i0 - (np.cumsum(lengths) - lengths), lengths)
-    sign = np.where(j[k] % 2 == 0, -1.0, 1.0)
-    x[row[k], idx] = sign * amp * np.sin(math.pi * (t[idx] - T[k]) / beta)
-    return SampledWaveform(samples=x if batch else x[0], dt=dt, t_start=t_start)
+    sign = np.where(k % 2 == 0, -1.0, 1.0)
+    x[idx] = sign * amp * np.sin(math.pi * (t[idx] - T[k]) / beta)
+    return SampledWaveform(samples=x, dt=dt, t_start=t_start)
 
 
 def ideal_lp(w: SampledWaveform, W: float) -> SampledWaveform:
-    """Brick-wall lowpass with one-sided bandwidth W and unit in-band gain,
-    applied to each row of a batch."""
+    """Brick-wall lowpass with one-sided bandwidth W and unit in-band gain."""
     fs = 1.0 / w.dt
     if fs < 2.0 * W:
         raise ValueError(f"sample rate {fs:.3g} below Nyquist for W = {W:.3g}")
     n = len(w)
-    X = np.fft.rfft(w.samples, axis=-1)
+    X = np.fft.rfft(w.samples)
     f = np.fft.rfftfreq(n, w.dt)
-    X[..., f > W] = 0.0
-    return SampledWaveform(samples=np.fft.irfft(X, n, axis=-1), dt=w.dt, t_start=w.t_start)
+    X[f > W] = 0.0
+    return SampledWaveform(samples=np.fft.irfft(X, n), dt=w.dt, t_start=w.t_start)
 
 
 def gen_bandlimited_noise(
@@ -198,19 +183,17 @@ def quantize(w: SampledWaveform) -> SampledWaveform:
     )
 
 
-def extract_crossings(w: SampledWaveform, method: str = "auto") -> ZeroCrossingSeq:
+def extract_crossings(w: SampledWaveform, method: str) -> ZeroCrossingSeq:
     """Zero-crossing times of a sampled signal.
 
-    Real-valued input: linear interpolation between the bracketing samples.
-    Two-level (quantized) input: midpoint of the sign change, which is all
-    the information the quantizer retains on the grid.
+    ``method="interp"`` (real-valued input): linear interpolation between
+    the bracketing samples.  ``method="midpoint"`` (two-level, quantized
+    input): midpoint of the sign change, which is all the information the
+    quantizer retains on the grid.
     """
     x = w.samples
     s = np.where(x >= 0.0, 1, -1)
     idx = np.nonzero(s[:-1] != s[1:])[0]
-    if method == "auto":
-        levels = np.unique(x)
-        method = "midpoint" if levels.size <= 2 else "interp"
     if method == "midpoint":
         frac = np.full(idx.shape, 0.5)
     elif method == "interp":
@@ -440,10 +423,72 @@ def _census_chunk(p: DerivedParams, K: int, dt: float, rng: np.random.Generator)
     return (hi - lo).astype(int)
 
 
-# Samples per batched synthesize/ideal_lp call in the ensemble leg of
-# lp_distortion_stats.  Bounds the memory a block holds (a few arrays of this
-# many doubles); larger blocks save little more time.
-_ENSEMBLE_BLOCK_SAMPLES = 1 << 16
+# Cin(x) = sum_n (-1)^(n+1) x^(2n) / (2n (2n)!), n = 1..8: below x = 0.5 the
+# truncation error is under 2e-16, where gamma + ln x - Ci(x) cancels.
+_CIN_SWITCH = 0.5
+_CIN_SERIES = tuple((-1.0) ** (n + 1) / (2 * n * math.factorial(2 * n))
+                    for n in range(8, 0, -1))  # Horner order
+
+
+def _si_cin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Si(x) and Cin(x) = gamma + ln x - Ci(x) for x >= 0 (Abramowitz & Stegun 5.2)."""
+    si, ci = sici(x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 takes the series
+        cin = np.euler_gamma + np.log(x) - ci
+    small = x < _CIN_SWITCH
+    u = x[small] ** 2
+    acc = np.zeros_like(u)
+    for c in _CIN_SERIES:
+        acc = acc * u + c
+    cin[small] = acc * u
+    return si, cin
+
+
+def transition_distortion(tau: np.ndarray, beta: float) -> np.ndarray:
+    """kappa(tau): the brick-wall lowpass output at W = 1/(2 beta) of the unit
+    sine transition from -1 to +1 centred on 0, minus the transition itself.
+
+    With z = pi tau/beta, A = z - pi/2 and B = z + pi/2 the filtered
+    transition (1/pi) int_{-pi/2}^{pi/2} cos v Si(z - v) dv integrates by
+    parts to [Si(A) + Si(B)]/pi
+    + [cos z (Cin(2|A|) - Cin(2|B|)) + sin z (Si(2B) - Si(2A))]/(2 pi).
+    The filter is aperiodic: no guard, no grid.
+    """
+    z = (math.pi / beta) * np.asarray(tau, dtype=float)
+    a = z - 0.5 * math.pi
+    b = z + 0.5 * math.pi
+    si_2a, cin_2a = _si_cin(2.0 * np.abs(a))
+    si_2b, cin_2b = _si_cin(2.0 * np.abs(b))
+    filtered = (sici(a)[0] + sici(b)[0]) / math.pi + (
+        np.cos(z) * (cin_2a - cin_2b)
+        + np.sin(z) * (np.copysign(si_2b, b) - np.copysign(si_2a, a))
+    ) / (2.0 * math.pi)
+    return filtered - np.sin(np.clip(z, -0.5 * math.pi, 0.5 * math.pi))
+
+
+def lp_distortion_at(t: np.ndarray, T: np.ndarray, params: DerivedParams) -> np.ndarray:
+    """Lowpass distortion x_t = xf - x of synthesized waveforms at instants t.
+
+    Each row of ``T`` (shape ``(rows, K)``) holds the crossing times of one
+    waveform, first transition falling, as :func:`synthesize` maps them; the
+    filter is the brick-wall lowpass at W = 1/(2 beta), applied without a
+    period.  The filter is linear, so x_t(t) = sqrt(P_hat) sum_k s_k
+    kappa(t - T_k) with s_k = -1, +1, -1, ...  Returns shape ``(len(t), rows)``.
+    """
+    p = params
+    if not math.isclose(2.0 * p.W * p.beta, 1.0, rel_tol=1e-12):
+        raise ValueError(f"the kernel needs W = 1/(2 beta), got W = {p.W}, beta = {p.beta}")
+    t = np.asarray(t, dtype=float)[:, None]
+    T = np.asarray(T, dtype=float)
+    acc = np.zeros((t.shape[0], T.shape[0]))
+    # one transition column at a time keeps the memory at O(len(t) * rows)
+    for k in range(T.shape[1]):
+        kappa = transition_distortion(t - T[:, k], p.beta)
+        if k % 2 == 0:
+            acc -= kappa
+        else:
+            acc += kappa
+    return math.sqrt(p.P_hat) * acc
 
 
 @dataclass(frozen=True)
@@ -474,7 +519,8 @@ def lp_distortion_stats(
     The time leg runs one long realization and histograms the distortion
     with bin width 0.01 max|x_t|; the Kullback-Leibler divergence against
     the moment-matched Gaussian uses the binned masses.  The ensemble leg
-    probes three fixed interior instants across independent realizations.
+    probes three fixed interior instants across independent realizations,
+    exactly (:func:`lp_distortion_at`), without synthesizing them.
     """
     if n_time_samples < 1 or n_ensemble < 1:
         raise ValueError(
@@ -506,32 +552,17 @@ def lp_distortion_stats(
     kl = float(np.sum(p_mass[nz] * np.log(p_mass[nz] / q_mass[nz])))
 
     # --- ensemble statistics at three interior instants ------------------
+    # Every realization is drawn at once (the same stream as one draw each)
+    # and probed exactly, by superposition of the filtered transition.
     K_e = 80
     probes = np.array([25.0, 31.0, 37.0]) * p.T_avg
-    vals = np.empty((3, n_ensemble))
-
-    def probe_block(block: list[tuple[int, ZeroCrossingSeq]]) -> None:
-        x = synthesize([txi for _, txi in block], p, dt, lead=guard, tail=guard)
-        xf = ideal_lp(x, p.W)
-        idx = np.round((probes - x.t_start) / dt).astype(int)
-        vals[:, [i for i, _ in block]] = (xf.samples[:, idx] - x.samples[:, idx]).T
-
-    # Realizations are drawn one at a time, so the RNG stream does not depend
-    # on the batching.  Each keeps its own sample count, and with it its own
-    # filter period: it is batched only with realizations of the same count,
-    # in blocks of at most _ENSEMBLE_BLOCK_SAMPLES samples (or one row).
-    pending: dict[int, list[tuple[int, ZeroCrossingSeq]]] = {}
-    for i in range(n_ensemble):
-        txi = sample_input_sequence(p, K_e, rng)
-        while txi.times[-1] <= probes[-1] + p.beta:  # vanishingly rare
-            txi = sample_input_sequence(p, 2 * K_e, rng)
-        n = _sample_count(txi.times[-1], p.beta, dt, guard, guard)
-        block = pending.setdefault(n, [])
-        block.append((i, txi))
-        if (len(block) + 1) * n > _ENSEMBLE_BLOCK_SAMPLES:
-            probe_block(pending.pop(n))
-    for block in pending.values():
-        probe_block(block)
+    T = np.cumsum(_draw_spacings(p, (n_ensemble, K_e), rng), axis=1)
+    vals = lp_distortion_at(probes, T, p)
+    for i in np.nonzero(T[:, -1] <= probes[-1] + p.beta)[0]:  # vanishingly rare
+        Ti = T[i]
+        while Ti[-1] <= probes[-1] + p.beta:
+            Ti = np.cumsum(_draw_spacings(p, 2 * K_e, rng))
+        vals[:, i] = lp_distortion_at(probes, Ti[None, :], p)[:, 0]
     mean_ens = vals.mean(axis=1)
     var_ens = vals.var(axis=1)
     return LpDistortionStats(

@@ -25,6 +25,7 @@ from zcrate.bounds import (
 )
 from zcrate.distortion import distortion_bounds
 from zcrate.params import ChannelConfig, derive
+from zcrate.quadrature import NumericalError
 
 
 def arcosh_quadrature(a: float) -> float:
@@ -255,6 +256,15 @@ class TestOffsetAndLimit:
 
     def test_k_opt_high_snr_value(self):
         assert k_opt(10.0 ** 4.0) == pytest.approx(0.7, abs=0.1)
+
+    @pytest.mark.parametrize("rho_db", [-10.0, -5.0])
+    def test_k_opt_raises_where_every_offset_is_infinite(self, rho_db):
+        # at -5 dB and below the lower bound is nonpositive across the bracket,
+        # so there is no minimum; the search would return the bracket edge
+        rho = 10.0 ** (rho_db / 10.0)
+        assert all(math.isinf(delta_offset(k, rho)) for k in np.linspace(0.05, 5.0, 200))
+        with pytest.raises(NumericalError, match="nonpositive at every probed k"):
+            k_opt(rho)
 
     def test_high_snr_limit_properties(self):
         for k in (0.3, 0.7, 3.0):

@@ -110,6 +110,16 @@ def test_bad_value_is_usage_error(tmp_path, capsys, args):
     assert "Traceback" not in err
 
 
+def test_k_opt_without_a_minimum_is_numerical_failure(tmp_path, capsys):
+    # below about -5 dB the lower bound is nonpositive at every k of the bracket
+    rc = main(["--out", str(tmp_path), "k-opt", "--rho-db=-10,-5"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("numerical failure in k-opt:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "k_opt.csv").exists()
+
+
 def test_deletions_dt_at_the_beta_limit(tmp_path):
     # 1/(2 (1/(2 beta))) is an ulp below beta = 0.095; dt = beta/20 must still run
     out = tmp_path / "del"
