@@ -280,7 +280,9 @@ def k_opt(rho: float, bracket: tuple[float, float] = (0.05, 5.0), tol: float = 1
 
     Raises NumericalError when the offset is infinite (the lower bound
     nonpositive) at every probed k: there is no minimum to find, and the
-    search would return the bracket edge.
+    search would return the bracket edge.  It also raises when the search
+    ends within ``tol`` of either bracket edge: the offset is still falling
+    there, so the minimum lies outside the bracket.
     """
     lo, hi = bracket
     if not (0 < lo < hi):
@@ -305,7 +307,14 @@ def k_opt(rho: float, bracket: tuple[float, float] = (0.05, 5.0), tol: float = 1
         raise NumericalError(
             f"the lower bound is nonpositive at every probed k in {bracket} at rho = {rho:g}"
         )
-    return 0.5 * (a + b)
+    k = 0.5 * (a + b)
+    for edge, name in ((lo, "lower"), (hi, "upper")):
+        if abs(k - edge) <= tol:
+            raise NumericalError(
+                f"the search ended at the {name} bracket edge k = {edge:g} at rho = {rho:g}:"
+                f" the minimum lies outside {bracket}"
+            )
+    return k
 
 
 def high_snr_limit(k: float, W: float) -> float:

@@ -3,9 +3,9 @@ emission, and generated plot scripts.
 
 Every subcommand writes one or more CSV files, a matplotlib plot script that
 reads them by relative path, and a manifest recording the configuration
-hash, seed, and package version.  Reruns with the same spec and seed produce
-byte-identical CSVs.  Rates are computed in nats internally; CSV columns
-carry both bits/s and nats/s.
+hash, seed, package version and the Python, numpy and scipy versions.
+Reruns with the same spec and seed produce byte-identical CSVs.  Rates are
+computed in nats internally; CSV columns carry both bits/s and nats/s.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import platform
 import struct
 import sys
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bounds import bound_report, delta_offset, k_opt, sigma_S_sq
@@ -157,6 +159,13 @@ def write_manifest(spec: ExperimentSpec, out: Path, files: list[str]) -> None:
         "config_hash": hashlib.sha256(blob).hexdigest(),
         "version": __version__,
         "files": files,
+        # kept out of the hash: the same configuration on another install
+        # must hash the same
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
         **payload,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")

@@ -36,6 +36,7 @@ __all__ = [
     "synthesize",
     "ideal_lp",
     "gen_bandlimited_noise",
+    "transmit",
     "quantize",
     "extract_crossings",
     "slope_at",
@@ -114,14 +115,11 @@ def synthesize(
     amp = math.sqrt(p.P_hat)
 
     j = np.arange(T.size)
-    x = np.zeros(n)
-    # plateaus: +amp, flipped by a step of -+2 amp at the first grid point at
-    # or after each transition's end; every partial sum is exactly +-amp
-    x[0] = amp
+    # plateaus: +amp, flipped at the first grid point at or after each
+    # transition's end
     done = np.searchsorted(t, T + beta / 2.0, side="left")
-    inside = done < n
-    np.add.at(x, done[inside], np.where(j[inside] % 2 == 0, -2.0 * amp, 2.0 * amp))
-    np.cumsum(x, out=x)
+    x = np.repeat(np.where(np.arange(T.size + 1) % 2 == 0, amp, -amp),
+                  np.diff(done, prepend=0, append=n))
     # transition k covers grid points i0[k] <= i < i1[k], cut short where the
     # next transition starts so that the later one keeps the shared points
     i0 = np.searchsorted(t, T - beta / 2.0, side="left")
@@ -130,21 +128,69 @@ def synthesize(
     lengths = np.maximum(i1 - i0, 0)
     k = np.repeat(j, lengths)
     idx = np.arange(k.size) + np.repeat(i0 - (np.cumsum(lengths) - lengths), lengths)
-    sign = np.where(k % 2 == 0, -1.0, 1.0)
-    x[idx] = sign * amp * np.sin(math.pi * (t[idx] - T[k]) / beta)
+    # amp sin(pi (t - T_k)/beta), negated for falling transitions; in place,
+    # as transitions can fill most of a long waveform
+    v = t[idx]
+    v -= T[k]
+    v *= math.pi
+    v /= beta
+    np.sin(v, out=v)
+    v *= amp
+    np.negative(v, out=v, where=k % 2 == 0)
+    x[idx] = v
     return SampledWaveform(samples=x, dt=dt, t_start=t_start)
+
+
+def _band_bins(n: int, dt: float, W: float) -> int:
+    """Number of rfft bins of an n-sample grid kept by the brick-wall lowpass.
+
+    A bin is kept when its frequency is <= W; the kept bins are a prefix of
+    the rfft, so every bin from the returned index on is masked.
+    """
+    fs = 1.0 / dt
+    if fs < 2.0 * W:
+        raise ValueError(f"sample rate {fs:.3g} below Nyquist for W = {W:.3g}")
+    return int(np.count_nonzero(np.fft.rfftfreq(n, dt) <= W))
+
+
+def _lowpass_spectrum(w: SampledWaveform, W: float) -> tuple[np.ndarray, int]:
+    """rfft of ``w`` with the bins above W zeroed, and the kept-bin count."""
+    m = _band_bins(len(w), w.dt, W)
+    X = np.fft.rfft(w.samples)
+    X[m:] = 0.0
+    return X, m
 
 
 def ideal_lp(w: SampledWaveform, W: float) -> SampledWaveform:
     """Brick-wall lowpass with one-sided bandwidth W and unit in-band gain."""
-    fs = 1.0 / w.dt
-    if fs < 2.0 * W:
-        raise ValueError(f"sample rate {fs:.3g} below Nyquist for W = {W:.3g}")
-    n = len(w)
-    X = np.fft.rfft(w.samples)
-    f = np.fft.rfftfreq(n, w.dt)
-    X[f > W] = 0.0
-    return SampledWaveform(samples=np.fft.irfft(X, n), dt=w.dt, t_start=w.t_start)
+    X, _ = _lowpass_spectrum(w, W)
+    return SampledWaveform(samples=np.fft.irfft(X, len(w)), dt=w.dt, t_start=w.t_start)
+
+
+def _noise_spectrum(n: int, m: int, N0: float, W: float, rng: np.random.Generator
+                    ) -> np.ndarray:
+    """The m in-band rfft bins of n samples of Gaussian noise with flat PSD
+    N0/2 on |f| <= W and variance N0 W (m from :func:`_band_bins`).
+
+    The law is that of the masked rfft of n white unit normals: interior bins
+    are complex normals with Re and Im each of variance n/2, while DC, and
+    Nyquist when it is in band, are real normals of variance n.  The bins are
+    then scaled by sqrt(N0 W n / dof), dof being the count of retained real
+    degrees of freedom, so the variance is N0 W exactly in expectation.
+    Exactly 2 m standard normals are drawn.
+    """
+    if N0 < 0:
+        raise ValueError(f"N0 must be nonnegative, got {N0}")
+    dof = 2 * m - 1  # DC bin carries one dof, not two
+    nyquist = n % 2 == 0 and m == n // 2 + 1
+    if nyquist:
+        dof -= 1  # so does Nyquist
+    X = rng.standard_normal(2 * m).view(np.complex128)
+    X *= math.sqrt(N0 * W * n / dof) * math.sqrt(n / 2.0)
+    X[0] = X[0].real * math.sqrt(2.0)
+    if nyquist:
+        X[-1] = X[-1].real * math.sqrt(2.0)
+    return X
 
 
 def gen_bandlimited_noise(
@@ -152,28 +198,44 @@ def gen_bandlimited_noise(
 ) -> SampledWaveform:
     """Gaussian noise with flat PSD N0/2 on |f| <= W and variance N0 W.
 
-    Built directly bandlimited: white Gaussian samples, brick-wall mask,
-    deterministic renormalization from the exact count of retained spectral
-    degrees of freedom (so no filter transients and the target variance is
-    exact in expectation).
+    Built directly bandlimited: only the in-band spectrum is drawn
+    (:func:`_noise_spectrum`), then inverse-transformed, so there are no
+    filter transients and the target variance is exact in expectation.
     """
-    fs = 1.0 / dt
-    if fs < 2.0 * W:
-        raise ValueError(f"sample rate {fs:.3g} below Nyquist for W = {W:.3g}")
-    if N0 < 0:
-        raise ValueError(f"N0 must be nonnegative, got {N0}")
+    m = _band_bins(n, dt, W)
     if N0 == 0.0:
         return SampledWaveform(samples=np.zeros(n), dt=dt, t_start=t_start)
-    white = rng.standard_normal(n)
-    X = np.fft.rfft(white)
-    f = np.fft.rfftfreq(n, dt)
-    keep = f <= W
-    X[~keep] = 0.0
-    dof = 2 * int(np.count_nonzero(keep)) - 1  # DC bin carries one dof, not two
-    if n % 2 == 0 and keep[-1]:
-        dof -= 1  # so does Nyquist
-    x = np.fft.irfft(X, n) * math.sqrt(N0 * W * n / dof)
-    return SampledWaveform(samples=x, dt=dt, t_start=t_start)
+    X = np.zeros(n // 2 + 1, dtype=np.complex128)
+    X[:m] = _noise_spectrum(n, m, N0, W, rng)
+    return SampledWaveform(samples=np.fft.irfft(X, n), dt=dt, t_start=t_start)
+
+
+def transmit(
+    tx: ZeroCrossingSeq,
+    params: DerivedParams,
+    W: float,
+    N0: float,
+    dt: float,
+    rng: np.random.Generator,
+    guard: float,
+) -> tuple[SampledWaveform, SampledWaveform, SampledWaveform]:
+    """The channel: synthesize ``tx`` with ``guard`` plateaus, lowpass at W,
+    add noise with PSD N0/2 on |f| <= W.  Returns (x, xf, r): the transmit
+    waveform, its filtered copy, and the received signal.
+
+    One rfft of x and one irfft give xf; the noise spectrum is added to the
+    masked spectrum and a second irfft gives r, with the same noise law as
+    ``xf + gen_bandlimited_noise(...)``.  With N0 == 0, ``r is xf`` and
+    nothing is drawn.
+    """
+    x = synthesize(tx, params, dt, lead=guard, tail=guard)
+    n = len(x)
+    X, m = _lowpass_spectrum(x, W)
+    xf = SampledWaveform(np.fft.irfft(X, n), dt, x.t_start)
+    if N0 == 0.0:
+        return x, xf, xf
+    X[:m] += _noise_spectrum(n, m, N0, W, rng)
+    return x, xf, SampledWaveform(np.fft.irfft(X, n), dt, x.t_start)
 
 
 def quantize(w: SampledWaveform) -> SampledWaveform:
@@ -192,8 +254,8 @@ def extract_crossings(w: SampledWaveform, method: str) -> ZeroCrossingSeq:
     quantizer retains on the grid.
     """
     x = w.samples
-    s = np.where(x >= 0.0, 1, -1)
-    idx = np.nonzero(s[:-1] != s[1:])[0]
+    pos = x >= 0.0
+    idx = np.nonzero(pos[:-1] != pos[1:])[0]
     if method == "midpoint":
         frac = np.full(idx.shape, 0.5)
     elif method == "interp":
@@ -203,7 +265,7 @@ def extract_crossings(w: SampledWaveform, method: str) -> ZeroCrossingSeq:
     else:
         raise ValueError(f"unknown method {method!r}")
     times = w.t_start + (idx + frac) * w.dt
-    first_rising = bool(s[idx[0]] < 0) if idx.size else None
+    first_rising = bool(not pos[idx[0]]) if idx.size else None
     return ZeroCrossingSeq.from_times(times, first_rising=first_rising)
 
 
@@ -349,10 +411,7 @@ def run_chain(
     p = params
     guard = 40.0 * p.beta
     tx = sample_input_sequence(p, K, rng)
-    x = synthesize(tx, p, dt, lead=guard, tail=guard)
-    xf = ideal_lp(x, p.W)
-    noise = gen_bandlimited_noise(len(x), dt, p.N0, p.W, rng, t_start=x.t_start)
-    r = SampledWaveform(xf.samples + noise.samples, dt, x.t_start)
+    x, xf, r = transmit(tx, p, p.W, p.N0, dt, rng, guard)
 
     sl = _interior_slice(x, -2.0 * p.beta, tx.times[-1] + 2.0 * p.beta)
     xt = xf.samples[sl] - x.samples[sl]
@@ -411,10 +470,7 @@ def transition_crossing_census(
 def _census_chunk(p: DerivedParams, K: int, dt: float, rng: np.random.Generator) -> np.ndarray:
     guard = 40.0 * p.beta
     tx = sample_input_sequence(p, K, rng)
-    x = synthesize(tx, p, dt, lead=guard, tail=guard)
-    xf = ideal_lp(x, p.W)
-    noise = gen_bandlimited_noise(len(x), dt, p.N0, p.W, rng, t_start=x.t_start)
-    r = SampledWaveform(xf.samples + noise.samples, dt, x.t_start)
+    _, _, r = transmit(tx, p, p.W, p.N0, dt, rng, guard)
     rx = extract_crossings(r, method="interp")
     # drop edge symbols; count crossings inside each transition window
     T = tx.times[2:-2]
@@ -533,8 +589,7 @@ def lp_distortion_stats(
     # --- time statistics -------------------------------------------------
     K = int(math.ceil(n_time_samples * dt / p.T_avg)) + 50
     tx = sample_input_sequence(p, K, rng)
-    x = synthesize(tx, p, dt, lead=guard, tail=guard)
-    xf = ideal_lp(x, p.W)
+    x, xf, _ = transmit(tx, p, p.W, 0.0, dt, rng, guard)
     sl = _interior_slice(x, 0.0, tx.times[-1])
     xt = (xf.samples - x.samples)[sl][:n_time_samples]
 
@@ -656,12 +711,8 @@ def deletion_census(
     )
     N0 = p_sig.P / (rho * W)
     guard = max(20.0 * beta, 10.0 / W)
-    rng_local = rng
-    tx = sample_input_sequence(p_sig, K, rng_local)
-    x = synthesize(tx, p_sig, dt, lead=guard, tail=guard)
-    xf = ideal_lp(x, W)
-    noise = gen_bandlimited_noise(len(x), dt, N0, W, rng_local, t_start=x.t_start)
-    r = SampledWaveform(xf.samples + noise.samples, dt, x.t_start)
+    tx = sample_input_sequence(p_sig, K, rng)
+    _, xf, r = transmit(tx, p_sig, W, N0, dt, rng, guard)
     sl = _interior_slice(r, -2.0 * beta, tx.times[-1] + 2.0 * beta)
     rx = extract_crossings(
         SampledWaveform(r.samples[sl], dt, r.t_start + sl.start * dt), method="interp"

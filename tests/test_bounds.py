@@ -266,6 +266,16 @@ class TestOffsetAndLimit:
         with pytest.raises(NumericalError, match="nonpositive at every probed k"):
             k_opt(rho)
 
+    def test_k_opt_raises_at_the_bracket_edge(self):
+        # at -3.5 dB the offset is finite at the upper edge k = 5 and still
+        # falling past it, so the minimum lies outside the bracket
+        rho = 10.0 ** -0.35
+        assert delta_offset(6.0, rho) < delta_offset(5.0, rho) < math.inf
+        with pytest.raises(NumericalError, match="upper bracket edge k = 5"):
+            k_opt(rho)
+        # -3 dB has its minimum inside the bracket
+        assert k_opt(10.0 ** -0.3) == pytest.approx(4.3866, abs=1e-4)
+
     def test_high_snr_limit_properties(self):
         for k in (0.3, 0.7, 3.0):
             v1 = high_snr_limit(k, 1.0)

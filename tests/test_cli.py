@@ -41,6 +41,8 @@ def test_bounds_sweep_grid_and_invariants(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 5
     assert "config_hash" in manifest and "version" in manifest
+    assert set(manifest["environment"]) == {"python", "numpy", "scipy"}
+    assert manifest["environment"]["numpy"] == np.__version__
 
 
 def test_k_opt_curve_shape(tmp_path):
@@ -117,6 +119,16 @@ def test_k_opt_without_a_minimum_is_numerical_failure(tmp_path, capsys):
     assert rc == 1
     assert err.startswith("numerical failure in k-opt:") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "k_opt.csv").exists()
+
+
+def test_k_opt_minimum_beyond_the_bracket_is_numerical_failure(tmp_path, capsys):
+    # at -3.5 dB the search would return the upper bracket edge k = 5
+    rc = main(["--out", str(tmp_path), "k-opt", "--rho-db=-3.5"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("numerical failure in k-opt:") and err.count("\n") == 1
+    assert "bracket edge" in err and "Traceback" not in err
     assert not (tmp_path / "k_opt.csv").exists()
 
 

@@ -27,6 +27,7 @@ from zcrate.simulate import (
     synthesize,
     transition_crossing_census,
     transition_distortion,
+    transmit,
 )
 
 
@@ -287,6 +288,53 @@ class TestNoise:
         assert np.all(noise.samples == 0.0)
 
 
+class TestTransmit:
+    def _setup(self, seed=14):
+        p = params_at(1.0, 10.0)
+        tx = sample_input_sequence(p, 200, np.random.default_rng(seed))
+        return p, tx, p.beta / 20.0, 40.0 * p.beta
+
+    def test_noise_free_is_ideal_lp(self):
+        p, tx, dt, guard = self._setup()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        x, xf, r = transmit(tx, p, p.W, 0.0, dt, rng, guard)
+        assert r is xf
+        assert rng.bit_generator.state == state  # nothing drawn
+        ref = synthesize(tx, p, dt, lead=guard, tail=guard)
+        assert np.array_equal(x.samples, ref.samples) and x.t_start == ref.t_start
+        assert np.array_equal(xf.samples, ideal_lp(ref, p.W).samples)
+
+    @pytest.mark.parametrize("W_over_W0", [1.0, 0.4])
+    def test_noise_is_gen_bandlimited_noise(self, W_over_W0):
+        p, tx, dt, guard = self._setup()
+        W = W_over_W0 * p.W
+        x, xf, r = transmit(tx, p, W, p.N0, dt, np.random.default_rng(15), guard)
+        noise = gen_bandlimited_noise(len(x), dt, p.N0, W, np.random.default_rng(15)).samples
+        rms = math.sqrt(np.mean(noise**2))
+        assert np.max(np.abs(r.samples - xf.samples - noise)) <= 1e-12 * rms
+        assert np.array_equal(xf.samples, ideal_lp(x, W).samples)
+
+    @pytest.mark.parametrize("n, dt, W", [(1001, 0.01, 3.0), (1000, 0.01, 3.0), (1000, 0.01, 50.0)])
+    def test_one_draw_takes_two_normals_per_in_band_bin(self, n, dt, W):
+        m = int(np.count_nonzero(np.fft.rfftfreq(n, dt) <= W))
+        rng, ref = np.random.default_rng(16), np.random.default_rng(16)
+        gen_bandlimited_noise(n, dt, 0.3, W, rng)
+        ref.standard_normal(2 * m)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n, W", [(15, 0.5), (16, 0.25), (16, 0.5)],
+                             ids=["odd_n", "even_n_nyquist_out", "even_n_nyquist_in"])
+    def test_variance_at_dc_and_nyquist_shapes(self, n, W):
+        # at n = 15-16 the DC bin, and Nyquist when in band, carry 1/16 of the
+        # variance each, so a wrong law or dof count there moves it by >= 3%
+        N0, dt = 0.8, 1.0
+        rng = np.random.default_rng(17)
+        draws = np.array([gen_bandlimited_noise(n, dt, N0, W, rng).samples
+                          for _ in range(20000)])
+        assert np.mean(draws**2) == pytest.approx(N0 * W, rel=0.01)
+
+
 class TestQuantizeExtract:
     def test_quantizer_cases(self):
         w = SampledWaveform(np.array([0.3, -0.3, 0.0]), 1.0)
@@ -319,6 +367,21 @@ class TestQuantizeExtract:
         rx = extract_crossings(q, "midpoint")
         assert len(rx) == len(tx)
         assert np.max(np.abs(rx.times - tx.times)) <= dt
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.3, 4.0), st.floats(0.2, 5.0), st.integers(20, 80),
+           st.integers(0, 2**32 - 1))
+    def test_midpoint_on_quantized_within_half_sample_of_interp(self, k, W, per_beta, seed):
+        # beta = 1/(2W), lambda = W/k, dt = beta/per_beta <= beta/20.  The
+        # quantizer keeps the sign, so both methods see the same sign changes;
+        # the midpoint sits at most dt/2 from the interpolated crossing
+        p = params_at(k, 10.0, W=W)
+        dt = p.beta / per_beta
+        x = synthesize(sample_input_sequence(p, 30, np.random.default_rng(seed)), p, dt)
+        fine = extract_crossings(x, "interp")
+        coarse = extract_crossings(quantize(x), "midpoint")
+        assert len(coarse) == len(fine) and coarse.first_rising == fine.first_rising
+        assert np.all(np.abs(coarse.times - fine.times) <= 0.5 * dt * (1.0 + 1e-9))
 
 
 class TestMatch:
