@@ -1,11 +1,16 @@
 """Command-line front end: parameter sweeps, simulation experiments, CSV
 emission, and generated plot scripts.
 
-Every subcommand writes one or more CSV files, a matplotlib plot script that
-reads them by relative path, and a manifest recording the configuration
-hash, seed, package version and the Python, numpy and scipy versions.
-Reruns with the same spec and seed produce byte-identical CSVs.  Rates are
-computed in nats internally; CSV columns carry both bits/s and nats/s.
+Each grid subcommand is a :class:`Sweep`: its axes, a pure cell function, its
+CSV header and a declarative :class:`Plot`.  One engine (:func:`run_sweep`)
+maps the cell function over the product of the axes, in ``--jobs`` worker
+processes, and writes the CSV, a matplotlib plot script that reads it by
+relative path, and a manifest recording the configuration hash, seed,
+package version and the Python, numpy and scipy versions.  Each Monte-Carlo
+cell draws from its own child of ``SeedSequence(seed)``, so a cell's row
+depends only on its position in the grid, and reruns with the same spec and
+seed produce byte-identical CSVs whatever ``--jobs`` is.  Rates are computed
+in nats internally; CSV columns carry both bits/s and nats/s.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
@@ -14,14 +19,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import platform
+import pprint
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -37,7 +45,7 @@ from .level_crossing import (
     transition_curve,
     variance_curve_crossings,
 )
-from .params import ChannelConfig, derive
+from .params import ChannelConfig, DerivedParams, derive
 from .quadrature import NumericalError, quad_checked
 from .simulate import (
     deletion_census,
@@ -73,14 +81,27 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 _DEFAULT_CONFIG = {"W": 1.0, "lambda": 1.0, "rho": 10.0, "P_hat": 1.0, "seed": 1234}
-_CONFIG_KEYS = set(_DEFAULT_CONFIG)
+
+
+def _set_config(cfg: dict, key: str, value: str, where: str) -> None:
+    if key not in _DEFAULT_CONFIG:
+        raise UsageError(f"{where}: unknown config key {key!r}")
+    try:
+        cfg[key] = int(value) if key == "seed" else float(value)
+    except ValueError as exc:
+        kind = "an integer" if key == "seed" else "a number"
+        raise UsageError(f"{where}: {key} must be {kind}, got {value!r}") from exc
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
     """Flat key-value config file plus --set overrides."""
     cfg = dict(_DEFAULT_CONFIG)
     if path is not None:
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeError) as exc:
+            raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -90,39 +111,30 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
                     break
             else:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            cfg[key] = int(value) if key == "seed" else float(value)
+            _set_config(cfg, key, value, f"{path}:{lineno}")
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"--set: unknown config key {key!r}")
-        cfg[key] = int(value) if key == "seed" else float(value)
+        _set_config(cfg, key, value, "--set")
     return cfg
 
 
-def _channel(cfg: dict, **replacements) -> ChannelConfig:
-    merged = dict(cfg)
-    merged.update(replacements)
-    return ChannelConfig(
-        W=merged["W"], lam=merged["lambda"], rho=merged["rho"],
-        P_hat=merged["P_hat"], seed=merged["seed"],
-    )
+def _params(cfg: dict, k: float | None = None, rho_db: float | None = None) -> DerivedParams:
+    """The config's parameters, at k = W/lambda and SNR rho_db [dB] when given."""
+    lam = cfg["lambda"] if k is None else cfg["W"] / k
+    rho = cfg["rho"] if rho_db is None else 10.0 ** (rho_db / 10.0)
+    return derive(ChannelConfig(W=cfg["W"], lam=lam, rho=rho, P_hat=cfg["P_hat"], seed=cfg["seed"]))
 
 
 def parse_list(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    if not (0 < lo < hi) or n < 2:
-        raise UsageError(f"invalid log grid [{lo}, {hi}] x {n}")
-    return np.geomspace(lo, hi, n)
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -171,43 +183,75 @@ def write_manifest(spec: ExperimentSpec, out: Path, files: list[str]) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-_PLOT_TEMPLATE = """\
+@dataclass(frozen=True)
+class Plot:
+    """What a generated plot script draws: for each CSV it reads and each value
+    of the ``group`` column, one line per column of each panel."""
+
+    title: str
+    x: str
+    xlabel: str
+    panels: dict                 # y label -> y columns, top panel first
+    group: str | None = None
+    xlog: bool = False
+    ylog: bool = False
+    scatter: bool = False        # points only, no lines
+    markers: tuple = ()          # (("axvline" or "axhline", position or column), ...)
+
+
+_PLOT_TEMPLATE = '''\
 #!/usr/bin/env python3
-\"\"\"Plot {title} from the CSV written alongside this script.\"\"\"
+"""Plot %(title)s from the CSV written alongside this script."""
 from pathlib import Path
 import csv
 import matplotlib.pyplot as plt
 
+spec = %(spec)s
+
 here = Path(__file__).resolve().parent
-{body}
+fig, axes = plt.subplots(len(spec["panels"]), 1, sharex=True, squeeze=False)
+axes = axes[:, 0]
+for fname in sorted(here.glob(spec["csv"])):
+    with open(fname) as fh:
+        rows = list(csv.DictReader(fh))
+    key = spec["group"]
+    for value in sorted({r[key] for r in rows}, key=float) if key else [None]:
+        pts = [r for r in rows if key is None or r[key] == value]
+        tag = f"{key}={value}" if key else fname.stem
+        x = [float(p[spec["x"]]) for p in pts]
+        for ax, columns in zip(axes, spec["panels"].values()):
+            for column, style in zip(columns, ["-", "--", ":", "-."]):
+                ax.plot(x, [float(p[column]) for p in pts], "o" if spec["scatter"] else style,
+                        label=f"{column} {tag}")
+        for method, at in spec["markers"]:
+            pos = float(pts[0][at]) if isinstance(at, str) else at
+            getattr(axes[0], method)(pos, color="k", lw=0.5, ls=":")
+for ax, ylabel in zip(axes, spec["panels"]):
+    ax.set_ylabel(ylabel)
+    ax.set_yscale("log" if spec["ylog"] else "linear")
+    ax.legend(fontsize="small")
+axes[-1].set_xscale("log" if spec["xlog"] else "linear")
+axes[-1].set_xlabel(spec["xlabel"])
 plt.tight_layout()
-plt.savefig(here / "{png}", dpi=150)
-print("wrote", here / "{png}")
-"""
+plt.savefig(here / spec["png"], dpi=150)
+print("wrote", here / spec["png"])
+'''
 
 
-def write_plot_script(out: Path, name: str, title: str, body: str) -> str:
-    script = _PLOT_TEMPLATE.format(title=title, body=body, png=f"{name}.png")
+def write_plot_script(out: Path, name: str, plot: Plot, csv_glob: str) -> str:
+    spec = pprint.pformat({**asdict(plot), "csv": csv_glob, "png": f"{name}.png"},
+                          sort_dicts=False)
     path = out / f"plot_{name}.py"
-    path.write_text(script)
+    path.write_text(_PLOT_TEMPLATE % {"title": plot.title, "spec": spec})
     return path.name
 
 
-def _read_csv_body(fname: str, series: str) -> str:
-    return (
-        f"rows = list(csv.DictReader(open(here / \"{fname}\")))\n"
-        f"{series}"
-    )
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# grid subcommands: cell functions (config, grid, seed or None, *axis values)
 # ---------------------------------------------------------------------------
 
-def _bounds_point(args: tuple) -> tuple:
-    cfg, k, rho_db = args
-    rho = 10.0 ** (rho_db / 10.0)
-    p = derive(_channel(cfg, **{"lambda": cfg["W"] / k, "rho": rho}))
+def _bounds_cell(cfg: dict, grid: dict, seed, rho_db: float, k: float) -> tuple:
+    p = _params(cfg, k, rho_db)
     rep = bound_report(p)
     return (
         p.W, p.lam, k, rho_db,
@@ -217,255 +261,183 @@ def _bounds_point(args: tuple) -> tuple:
     )
 
 
-def run_bounds_sweep(spec: ExperimentSpec, out: Path) -> list[str]:
-    g = spec.grid
-    ks = log_grid(g["k_min"], g["k_max"], g["k_points"])
-    work = [(spec.config, float(k), float(r)) for r in g["rho_db"] for k in ks]
-    rows = _map(_bounds_point, work, spec.jobs)
-    header = [
-        "W", "lambda", "k", "rho_dB",
-        "lower_bits_s", "upper_bits_s", "awgn_bits_s",
-        "mu_bar", "nu", "sigma_S_sq", "clamped_flag",
-        "lower_nats_s", "upper_nats_s", "awgn_nats_s", "lower_raw_nats_s",
-    ]
-    write_csv(out / "bounds_sweep.csv", header, rows)
-    body = _read_csv_body(
-        "bounds_sweep.csv",
-        "rhos = sorted({row['rho_dB'] for row in rows}, key=float)\n"
-        "for r in rhos:\n"
-        "    pts = [row for row in rows if row['rho_dB'] == r]\n"
-        "    ks = [float(p['k']) for p in pts]\n"
-        "    plt.plot(ks, [float(p['lower_bits_s']) for p in pts], label=f'lower {r} dB')\n"
-        "    plt.plot(ks, [float(p['upper_bits_s']) for p in pts], '--', label=f'upper {r} dB')\n"
-        "    plt.plot(ks, [float(p['awgn_bits_s']) for p in pts], ':', label=f'AWGN {r} dB')\n"
-        "plt.xscale('log')\nplt.xlabel('k = W/lambda')\nplt.ylabel('rate [bits/s]')\nplt.legend()\n",
-    )
-    return ["bounds_sweep.csv", write_plot_script(out, "bounds_sweep", "rate bounds vs k", body)]
+def _k_opt_cell(cfg: dict, grid: dict, seed, rho_db: float) -> tuple:
+    rho = 10.0 ** (rho_db / 10.0)
+    k = k_opt(rho)
+    d = delta_offset(k, rho)
+    return (rho_db, k, d, math.exp(d), d / LN2)
 
 
-def run_k_opt(spec: ExperimentSpec, out: Path) -> list[str]:
-    rows = []
-    for rho_db in spec.grid["rho_db"]:
-        rho = 10.0 ** (rho_db / 10.0)
-        k = k_opt(rho)
-        d = delta_offset(k, rho)
-        rows.append((rho_db, k, d, math.exp(d), d / LN2))
-    write_csv(out / "k_opt.csv", ["rho_dB", "k_opt", "delta_nats", "ratio_awgn_over_lower", "delta_bits"], rows)
-    body = _read_csv_body(
-        "k_opt.csv",
-        "x = [float(r['rho_dB']) for r in rows]\n"
-        "fig, (a1, a2) = plt.subplots(2, 1, sharex=True)\n"
-        "a1.plot(x, [float(r['k_opt']) for r in rows]); a1.set_ylabel('k_opt')\n"
-        "a2.plot(x, [float(r['ratio_awgn_over_lower']) for r in rows])\n"
-        "a2.set_ylabel('C_AWGN / lower'); a2.set_xlabel('SNR [dB]')\n",
-    )
-    return ["k_opt.csv", write_plot_script(out, "k_opt", "optimal k vs SNR", body)]
+def _spectral_efficiency_cell(cfg: dict, grid: dict, seed, k: float, rho_db: float) -> tuple:
+    p = _params(cfg, k, rho_db)
+    rep = bound_report(p)
+    return (rho_db, k, rep.lower_rate / (2.0 * p.W) / LN2, rep.upper_rate / (2.0 * p.W) / LN2,
+            10.0 * math.log10(rep.sdr.sdr_lo))
 
 
-def run_spectral_efficiency(spec: ExperimentSpec, out: Path) -> list[str]:
-    rows = []
-    for k in spec.grid["k_list"]:
-        lam = spec.config["W"] / k
-        for rho_db in spec.grid["rho_db"]:
-            rho = 10.0 ** (rho_db / 10.0)
-            p = derive(_channel(spec.config, **{"lambda": lam, "rho": rho}))
-            rep = bound_report(p)
-            db = rep.sdr
-            rows.append((
-                rho_db, k,
-                rep.lower_rate / (2.0 * p.W) / LN2,
-                rep.upper_rate / (2.0 * p.W) / LN2,
-                10.0 * math.log10(db.sdr_lo),
-            ))
-    header = ["rho_dB", "k", "lower_bits_s_hz", "upper_bits_s_hz", "sdr_star_dB"]
-    write_csv(out / "spectral_efficiency.csv", header, rows)
-    body = _read_csv_body(
-        "spectral_efficiency.csv",
-        "ks = sorted({r['k'] for r in rows}, key=float)\n"
-        "for k in ks:\n"
-        "    pts = [r for r in rows if r['k'] == k]\n"
-        "    x = [float(p['rho_dB']) for p in pts]\n"
-        "    plt.plot(x, [float(p['lower_bits_s_hz']) for p in pts], label=f'lower k={k}')\n"
-        "    plt.plot(x, [float(p['upper_bits_s_hz']) for p in pts], '--', label=f'upper k={k}')\n"
-        "    plt.axvline(float(pts[0]['sdr_star_dB']), color='k', lw=0.5, ls=':')\n"
-        "plt.xlabel('SNR [dB]')\nplt.ylabel('bits/s/Hz')\nplt.legend()\n",
-    )
-    return ["spectral_efficiency.csv", write_plot_script(out, "spectral_efficiency", "spectral efficiency", body)]
+def _psd_cell(cfg: dict, grid: dict, seed, k: float) -> list[tuple]:
+    p = _params(cfg, k)
+    emp = empirical_psd(p, grid["K"], p.beta / 20.0, np.random.default_rng(seed))
+    mask = (emp.f > 0) & (emp.f <= 3.0 * p.W)
+    f = emp.f[mask]
+    w = 2.0 * math.pi * f
+    pb = psd_bounds(p)
+    finite_k = psd_finite_k(w, p, grid["K"])
+    return list(zip(f / p.W, pb.lower(w), pb.upper(w), emp.psd[mask], finite_k))
 
 
-def run_psd(spec: ExperimentSpec, out: Path) -> list[str]:
-    files = []
-    rng = np.random.default_rng(spec.seed)
-    for k in spec.grid["k_list"]:
-        p = derive(_channel(spec.config, **{"lambda": spec.config["W"] / k}))
-        emp = empirical_psd(p, spec.grid["K"], p.beta / 20.0, rng)
-        pb = psd_bounds(p)
-        mask = (emp.f > 0) & (emp.f <= 3.0 * p.W)
-        f = emp.f[mask]
-        w = 2.0 * math.pi * f
-        lower = pb.lower(w)
-        upper = pb.upper(w)
-        fk = psd_finite_k(w, p, spec.grid["K"])
-        rows = list(zip(f / p.W, lower, upper, emp.psd[mask], fk))
-        fname = f"psd_k{_fmt(k)}.csv"
-        write_csv(out / fname, ["f_over_W", "lower", "upper", "empirical", "finite_k"], rows)
-        files.append(fname)
-    body = (
-        "import glob\n"
-        "for fname in sorted(glob.glob(str(here / 'psd_k*.csv'))):\n"
-        "    rows = list(csv.DictReader(open(fname)))\n"
-        "    x = [float(r['f_over_W']) for r in rows]\n"
-        "    plt.semilogy(x, [float(r['upper']) for r in rows], label=Path(fname).stem + ' upper')\n"
-        "    plt.semilogy(x, [float(r['empirical']) for r in rows], lw=0.5)\n"
-        "plt.xlabel('f / W')\nplt.ylabel('PSD [W/Hz]')\nplt.legend()\n"
-    )
-    files.append(write_plot_script(out, "psd", "PSD bounds and estimate", body))
-    return files
+def _census_cell(cfg: dict, grid: dict, seed, k: float, rho_db: float) -> tuple:
+    p = _params(cfg, k, rho_db)
+    psi, psip, T = transition_curve(p)
+    acf = AcfModel.total(p, "upper")
+    row = (rho_db, k, expected_curve_crossings(psi, psip, T, acf),
+           variance_curve_crossings(psi, psip, T, acf).variance)
+    if seed is None:
+        return row
+    cen = transition_crossing_census(p, p.rho, grid["mc_trials"], np.random.default_rng(seed))
+    return row + (cen.mean, cen.var)
 
 
-def run_transition_census(spec: ExperimentSpec, out: Path) -> list[str]:
-    rng = np.random.default_rng(spec.seed)
-    rows = []
-    for k in spec.grid["k_list"]:
-        lam = spec.config["W"] / k
-        for rho_db in spec.grid["rho_db"]:
-            rho = 10.0 ** (rho_db / 10.0)
-            p = derive(_channel(spec.config, **{"lambda": lam, "rho": rho}))
-            psi, psip, T = transition_curve(p)
-            acf = AcfModel.total(p, "upper")
-            e_val = expected_curve_crossings(psi, psip, T, acf)
-            v = variance_curve_crossings(psi, psip, T, acf)
-            row = [rho_db, k, e_val, v.variance]
-            if spec.grid["mc_trials"]:
-                cen = transition_crossing_census(p, rho, spec.grid["mc_trials"], rng)
-                row += [cen.mean, cen.var]
-            rows.append(tuple(row))
-    header = ["rho_dB", "k", "E_N", "Var_N"]
-    if spec.grid["mc_trials"]:
-        header += ["E_N_mc", "Var_N_mc"]
-    write_csv(out / "transition_census.csv", header, rows)
-    body = _read_csv_body(
-        "transition_census.csv",
-        "ks = sorted({r['k'] for r in rows}, key=float)\n"
-        "for k in ks:\n"
-        "    pts = [r for r in rows if r['k'] == k]\n"
-        "    x = [float(p['rho_dB']) for p in pts]\n"
-        "    plt.plot(x, [float(p['E_N']) for p in pts], label=f'E k={k}')\n"
-        "    plt.plot(x, [float(p['Var_N']) for p in pts], '--', label=f'Var k={k}')\n"
-        "plt.xlabel('SNR [dB]')\nplt.legend()\n",
-    )
-    return ["transition_census.csv", write_plot_script(out, "transition_census", "crossings per transition", body)]
+def _gauss_cell(cfg: dict, grid: dict, seed, k: float, rho_db: float) -> tuple:
+    p = _params(cfg, k, rho_db)
+    ratio = shift_variance_ratio(p, distortion_bounds(p).sigma_z_sq_hi)
+    return (rho_db, k, math.sqrt(ratio), ratio)
 
 
-def run_gauss_check(spec: ExperimentSpec, out: Path) -> list[str]:
-    rows = []
-    for k in spec.grid["k_list"]:
-        lam = spec.config["W"] / k
-        for rho_db in spec.grid["rho_db"]:
-            rho = 10.0 ** (rho_db / 10.0)
-            p = derive(_channel(spec.config, **{"lambda": lam, "rho": rho}))
-            db = distortion_bounds(p)
-            ratio = shift_variance_ratio(p, db.sigma_z_sq_hi)
-            rows.append((rho_db, k, math.sqrt(ratio), ratio))
-    write_csv(out / "gauss_check.csv", ["rho_dB", "k", "sigma_ratio", "var_ratio"], rows)
-    body = _read_csv_body(
-        "gauss_check.csv",
-        "ks = sorted({r['k'] for r in rows}, key=float)\n"
-        "for k in ks:\n"
-        "    pts = [r for r in rows if r['k'] == k]\n"
-        "    plt.plot([float(p['rho_dB']) for p in pts], [float(p['sigma_ratio']) for p in pts], label=f'k={k}')\n"
-        "plt.axhline(1.0, color='k', lw=0.5)\nplt.xlabel('SNR [dB]')\nplt.ylabel('sigma ratio')\nplt.legend()\n",
-    )
-    return ["gauss_check.csv", write_plot_script(out, "gauss_check", "Gaussian approximation check", body)]
+def _excursion_cell(cfg: dict, grid: dict, seed, k: float, rho_db: float) -> tuple:
+    p = _params(cfg, k, rho_db)
+    db = distortion_bounds(p)
+    return (rho_db, k, mean_excursion_duration(p, db.sigma_z_sq_hi, db.s2_zz_lo) / p.beta)
 
 
-def run_excursion(spec: ExperimentSpec, out: Path) -> list[str]:
-    rows = []
-    for k in spec.grid["k_list"]:
-        lam = spec.config["W"] / k
-        for rho_db in spec.grid["rho_db"]:
-            rho = 10.0 ** (rho_db / 10.0)
-            p = derive(_channel(spec.config, **{"lambda": lam, "rho": rho}))
-            db = distortion_bounds(p)
-            tau = mean_excursion_duration(p, db.sigma_z_sq_hi, db.s2_zz_lo)
-            rows.append((rho_db, k, tau / p.beta))
-    write_csv(out / "excursion.csv", ["rho_dB", "k", "tau_over_beta"], rows)
-    body = _read_csv_body(
-        "excursion.csv",
-        "ks = sorted({r['k'] for r in rows}, key=float)\n"
-        "for k in ks:\n"
-        "    pts = [r for r in rows if r['k'] == k]\n"
-        "    plt.semilogy([float(p['rho_dB']) for p in pts], [float(p['tau_over_beta']) for p in pts], label=f'k={k}')\n"
-        "plt.xlabel('SNR [dB]')\nplt.ylabel('mean excursion / beta')\nplt.legend()\n",
-    )
-    return ["excursion.csv", write_plot_script(out, "excursion", "mean excursion duration", body)]
+def _lp_distortion_cell(cfg: dict, grid: dict, seed, k: float) -> tuple:
+    p = _params(cfg, k)
+    st = lp_distortion_stats(p, grid["n_time"], grid["n_ensemble"], np.random.default_rng(seed))
+    db = distortion_bounds(p)
+    return (k, st.mean_time, st.var_time, float(st.mean_ensemble.mean()), st.var_ensemble_pooled,
+            st.kl_nats, db.sigma_xt_sq_lo, db.sigma_xt_sq_hi)
 
 
-def run_lp_distortion(spec: ExperimentSpec, out: Path) -> list[str]:
-    rng = np.random.default_rng(spec.seed)
-    rows = []
-    for k in spec.grid["k_list"]:
-        p = derive(_channel(spec.config, **{"lambda": spec.config["W"] / k}))
-        st = lp_distortion_stats(p, spec.grid["n_time"], spec.grid["n_ensemble"], rng)
-        db = distortion_bounds(p)
-        rows.append((
-            k, st.mean_time, st.var_time,
-            float(st.mean_ensemble.mean()), st.var_ensemble_pooled,
-            st.kl_nats, db.sigma_xt_sq_lo, db.sigma_xt_sq_hi,
-        ))
-    header = ["k", "mean_time", "var_time", "mean_ensemble", "var_ensemble",
-              "kl_nats", "sigma_xt_sq_lo", "sigma_xt_sq_hi"]
-    write_csv(out / "lp_distortion.csv", header, rows)
-    body = _read_csv_body(
-        "lp_distortion.csv",
-        "x = [float(r['k']) for r in rows]\n"
-        "fig, (a1, a2) = plt.subplots(2, 1, sharex=True)\n"
-        "a1.plot(x, [float(r['var_time']) for r in rows], 'o-', label='time')\n"
-        "a1.plot(x, [float(r['var_ensemble']) for r in rows], 's--', label='ensemble')\n"
-        "a1.plot(x, [float(r['sigma_xt_sq_lo']) for r in rows], ':', label='lower bound')\n"
-        "a1.plot(x, [float(r['sigma_xt_sq_hi']) for r in rows], ':', label='upper bound')\n"
-        "a1.set_ylabel('variance'); a1.legend()\n"
-        "a2.plot(x, [float(r['kl_nats']) for r in rows], 'o-')\n"
-        "a2.set_ylabel('KL [nats]'); a2.set_xlabel('k')\n",
-    )
-    return ["lp_distortion.csv", write_plot_script(out, "lp_distortion", "lowpass distortion statistics", body)]
-
-
-def _deletion_point(args: tuple) -> tuple:
-    seed, lam, beta, ratio, rho_db, K, dt, p_hat = args
-    rng = np.random.default_rng(seed)
+def _deletions_cell(cfg: dict, grid: dict, seed, rho_db: float, beta: float, ratio: float) -> tuple:
     W = ratio / (2.0 * beta)
-    dc = deletion_census(lam, beta, W, 10.0 ** (rho_db / 10.0), K, dt, rng, P_hat=p_hat)
+    dc = deletion_census(1.0, beta, W, 10.0 ** (rho_db / 10.0), grid["K"], grid["dt"],
+                         np.random.default_rng(seed), P_hat=cfg["P_hat"])
     return (rho_db, beta, W, ratio, dc.k_tilde, dc.n_symbols, dc.n_deletions, dc.n_insertions)
 
 
-def run_deletions(spec: ExperimentSpec, out: Path) -> list[str]:
-    g = spec.grid
-    work = []
-    for i, (rho_db, beta, ratio) in enumerate(
-        (r, b, x) for r in g["rho_db"] for b in g["beta_list"] for x in g["ratio_list"]
-    ):
-        work.append((spec.seed + 7919 * i, 1.0, beta, ratio, rho_db,
-                     g["K"], g["dt"], spec.config["P_hat"]))
-    rows = _map(_deletion_point, work, spec.jobs)
-    header = ["rho_dB", "beta", "W", "two_beta_W", "k_tilde", "n_symbols",
-              "n_deletions", "n_insertions"]
-    write_csv(out / "deletions.csv", header, rows)
-    body = _read_csv_body(
-        "deletions.csv",
-        "snrs = sorted({r['rho_dB'] for r in rows}, key=float)\n"
-        "for s in snrs:\n"
-        "    pts = [r for r in rows if r['rho_dB'] == s]\n"
-        "    plt.scatter([float(p['two_beta_W']) for p in pts],\n"
-        "                [int(p['n_deletions']) for p in pts], label=f'{s} dB')\n"
-        "plt.axvline(1.0, color='k', lw=0.5)\nplt.xlabel('2 beta W')\nplt.ylabel('deletions')\nplt.legend()\n",
-    )
-    return ["deletions.csv", write_plot_script(out, "deletions", "deletion census", body)]
+@dataclass(frozen=True)
+class Sweep:
+    """A grid subcommand: its cell function mapped over the product of its axes."""
 
+    axes: Callable[[dict], tuple]    # grid -> value lists, outermost (slowest) first
+    cell: Callable                   # module-level, so that worker processes can run it
+    csv: str                         # with "{}", one CSV per cell, named by its first axis value
+    header: tuple
+    plot: Plot
+    seeded: Callable[[dict], bool] = lambda grid: False   # True: Monte-Carlo cells, each seeded
+    mc_header: tuple = ()            # columns a seeded cell appends to ``header``
+
+
+def _k_and_snr(grid: dict) -> tuple:
+    return (grid["k_list"], grid["rho_db"])
+
+
+def _monte_carlo(grid: dict) -> bool:
+    return True
+
+
+_SNR = "SNR [dB]"
+_SWEEPS = {
+    "bounds-sweep": Sweep(
+        lambda g: (g["rho_db"], np.geomspace(g["k_min"], g["k_max"], g["k_points"]).tolist()),
+        _bounds_cell, "bounds_sweep.csv",
+        ("W", "lambda", "k", "rho_dB", "lower_bits_s", "upper_bits_s", "awgn_bits_s", "mu_bar",
+         "nu", "sigma_S_sq", "clamped_flag", "lower_nats_s", "upper_nats_s", "awgn_nats_s",
+         "lower_raw_nats_s"),
+        Plot("rate bounds vs k", "k", "k = W/lambda", group="rho_dB", xlog=True,
+             panels={"rate [bits/s]": ("lower_bits_s", "upper_bits_s", "awgn_bits_s")})),
+    "k-opt": Sweep(
+        lambda g: (g["rho_db"],), _k_opt_cell, "k_opt.csv",
+        ("rho_dB", "k_opt", "delta_nats", "ratio_awgn_over_lower", "delta_bits"),
+        Plot("optimal k vs SNR", "rho_dB", _SNR,
+             panels={"k_opt": ("k_opt",), "C_AWGN / lower": ("ratio_awgn_over_lower",)})),
+    "spectral-efficiency": Sweep(
+        _k_and_snr, _spectral_efficiency_cell, "spectral_efficiency.csv",
+        ("rho_dB", "k", "lower_bits_s_hz", "upper_bits_s_hz", "sdr_star_dB"),
+        Plot("spectral efficiency", "rho_dB", _SNR, group="k",
+             panels={"bits/s/Hz": ("lower_bits_s_hz", "upper_bits_s_hz")},
+             markers=(("axvline", "sdr_star_dB"),))),
+    "psd": Sweep(
+        lambda g: (g["k_list"],), _psd_cell, "psd_k{}.csv",
+        ("f_over_W", "lower", "upper", "empirical", "finite_k"),
+        Plot("PSD bounds and estimate", "f_over_W", "f / W", ylog=True,
+             panels={"PSD [W/Hz]": ("upper", "empirical")}),
+        seeded=_monte_carlo),
+    "transition-census": Sweep(
+        _k_and_snr, _census_cell, "transition_census.csv", ("rho_dB", "k", "E_N", "Var_N"),
+        Plot("crossings per transition", "rho_dB", _SNR, group="k",
+             panels={"crossings per transition": ("E_N", "Var_N")}),
+        seeded=lambda g: g["mc_trials"] > 0, mc_header=("E_N_mc", "Var_N_mc")),
+    "gauss-check": Sweep(
+        _k_and_snr, _gauss_cell, "gauss_check.csv", ("rho_dB", "k", "sigma_ratio", "var_ratio"),
+        Plot("Gaussian approximation check", "rho_dB", _SNR, group="k",
+             panels={"sigma ratio": ("sigma_ratio",)}, markers=(("axhline", 1.0),))),
+    "excursion": Sweep(
+        _k_and_snr, _excursion_cell, "excursion.csv", ("rho_dB", "k", "tau_over_beta"),
+        Plot("mean excursion duration", "rho_dB", _SNR, group="k", ylog=True,
+             panels={"mean excursion / beta": ("tau_over_beta",)})),
+    "lp-distortion": Sweep(
+        lambda g: (g["k_list"],), _lp_distortion_cell, "lp_distortion.csv",
+        ("k", "mean_time", "var_time", "mean_ensemble", "var_ensemble", "kl_nats",
+         "sigma_xt_sq_lo", "sigma_xt_sq_hi"),
+        Plot("lowpass distortion statistics", "k", "k", panels={
+            "variance": ("var_time", "var_ensemble", "sigma_xt_sq_lo", "sigma_xt_sq_hi"),
+            "KL [nats]": ("kl_nats",)}),
+        seeded=_monte_carlo),
+    "deletions": Sweep(
+        lambda g: (g["rho_db"], g["beta_list"], g["ratio_list"]), _deletions_cell,
+        "deletions.csv", ("rho_dB", "beta", "W", "two_beta_W", "k_tilde", "n_symbols",
+                          "n_deletions", "n_insertions"),
+        Plot("deletion census", "two_beta_W", "2 beta W", group="rho_dB", scatter=True,
+             panels={"deletions": ("n_deletions",)}, markers=(("axvline", 1.0),)),
+        seeded=_monte_carlo),
+}
+
+
+def _map(fn, cells: list[tuple], jobs: int) -> list:
+    """``fn(*cell)`` for every cell, in order; in worker processes when jobs > 1."""
+    if jobs <= 1 or len(cells) <= 1:
+        return [fn(*cell) for cell in cells]
+    with Pool(processes=min(jobs, len(cells))) as pool:
+        return pool.starmap(fn, cells)
+
+
+def run_sweep(spec: ExperimentSpec, out: Path) -> list[str]:
+    sweep = _SWEEPS[spec.subcommand]
+    points = list(itertools.product(*sweep.axes(spec.grid)))
+    seeded = sweep.seeded(spec.grid)
+    seeds = np.random.SeedSequence(spec.seed).spawn(len(points)) if seeded else [None] * len(points)
+    results = _map(sweep.cell, [(spec.config, spec.grid, seed, *point)
+                                for seed, point in zip(seeds, points)], spec.jobs)
+    header = list(sweep.header + (sweep.mc_header if seeded else ()))
+    if "{}" in sweep.csv:
+        files = [sweep.csv.format(_fmt(point[0])) for point in points]
+        for fname, rows in zip(files, results):
+            write_csv(out / fname, header, rows)
+    else:
+        files = [sweep.csv]
+        write_csv(out / sweep.csv, header, results)
+    name = spec.subcommand.replace("-", "_")
+    return files + [write_plot_script(out, name, sweep.plot, sweep.csv.replace("{}", "*"))]
+
+
+# ---------------------------------------------------------------------------
+# single-run subcommands
+# ---------------------------------------------------------------------------
 
 def run_simulate(spec: ExperimentSpec, out: Path) -> list[str]:
     rng = np.random.default_rng(spec.seed)
-    p = derive(_channel(spec.config))
+    p = _params(spec.config)
     rep = bound_report(p)
     scale = 1.0 if spec.units == "nats" else 1.0 / LN2
     print(
@@ -540,26 +512,7 @@ def run_constants(spec: ExperimentSpec, out: Path) -> list[str]:
 # dispatch
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "bounds-sweep": run_bounds_sweep,
-    "k-opt": run_k_opt,
-    "spectral-efficiency": run_spectral_efficiency,
-    "psd": run_psd,
-    "transition-census": run_transition_census,
-    "gauss-check": run_gauss_check,
-    "excursion": run_excursion,
-    "lp-distortion": run_lp_distortion,
-    "deletions": run_deletions,
-    "simulate": run_simulate,
-    "constants": run_constants,
-}
-
-
-def _map(fn, work: list, jobs: int) -> list:
-    if jobs <= 1 or len(work) <= 1:
-        return [fn(item) for item in work]
-    with Pool(processes=jobs) as pool:
-        return pool.map(fn, work)
+_RUNNERS = {"simulate": run_simulate, "constants": run_constants}
 
 
 def run(spec: ExperimentSpec) -> int:
@@ -573,7 +526,7 @@ def run(spec: ExperimentSpec) -> int:
         print(f"error: output dir {out} not writable: {exc}", file=sys.stderr)
         return 2
     try:
-        files = _RUNNERS[spec.subcommand](spec, out)
+        files = _RUNNERS.get(spec.subcommand, run_sweep)(spec, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -589,6 +542,38 @@ def run(spec: ExperimentSpec) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _steps(start: int, stop: int, step: int) -> str:
+    return ",".join(str(v) for v in range(start, stop, step))
+
+
+# subcommand -> (help, {option: default}).  A string default is a
+# comma-separated list of numbers; an integer option's default comes as
+# (default, smallest accepted value).
+_COMMANDS = {
+    "bounds-sweep": ("rate bounds over a (k, SNR) grid",
+                     {"k_min": 0.1, "k_max": 5.0, "k_points": (40, 2), "rho_db": "10,20,30"}),
+    "k-opt": ("offset-minimizing k over SNR", {"rho_db": _steps(6, 41, 2)}),
+    "spectral-efficiency": ("bounds normalized by 2W vs SNR",
+                            {"rho_db": _steps(0, 51, 2), "k_list": "0.5,1,2,4"}),
+    "psd": ("PSD bounds, finite-block approximation, periodogram of K symbols",
+            {"k_list": "0.5,1,2", "K": (100000, 1000)}),
+    "transition-census": ("crossings per transition interval; --mc-trials adds "
+                          "Monte-Carlo columns over that many transitions",
+                          {"rho_db": "0,3,6,10,15,20", "k_list": "0.5,1,2", "mc_trials": (0, 0)}),
+    "gauss-check": ("shift density vs Gaussian approximation",
+                    {"rho_db": _steps(0, 21, 2), "k_list": "0.5,1,2"}),
+    "excursion": ("mean noise excursion duration", {"rho_db": _steps(0, 21, 2), "k_list": "1"}),
+    "lp-distortion": ("empirical lowpass-distortion statistics",
+                      {"k_list": "0.5,1,2,4", "n_time": (10**6, 1), "n_ensemble": (2000, 1)}),
+    "deletions": ("deletion census with decoupled (W, beta); --ratio-list gives 2*beta*W",
+                  {"rho_db": "6,15", "beta_list": "0.5,1,2",
+                   "ratio_list": "0.2,0.3,0.5,1.0,1.25", "K": (1000, 1), "dt": 1e-3}),
+    "simulate": ("one end-to-end run with match statistics",
+                 {"K": (2000, 1), "dump_crossings": False}),
+    "constants": ("print c0, c2, and the crossing-rate factor with oracles", {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zcrate",
@@ -601,59 +586,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, help="RNG seed (overrides config)")
     parser.add_argument("--units", choices=["bits", "nats"], default="bits")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for grid subcommands")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sweep = sub.add_parser("bounds-sweep", help="rate bounds over a (k, SNR) grid")
-    sweep.add_argument("--k-min", type=float, default=0.1)
-    sweep.add_argument("--k-max", type=float, default=5.0)
-    sweep.add_argument("--k-points", type=int, default=40)
-    sweep.add_argument("--rho-db", default="10,20,30")
-
-    kopt = sub.add_parser("k-opt", help="offset-minimizing k over SNR")
-    kopt.add_argument("--rho-db", default=",".join(str(v) for v in range(6, 41, 2)))
-
-    se = sub.add_parser("spectral-efficiency", help="bounds normalized by 2W vs SNR")
-    se.add_argument("--rho-db", default=",".join(str(v) for v in range(0, 51, 2)))
-    se.add_argument("--k-list", default="0.5,1,2,4")
-
-    psd = sub.add_parser("psd", help="PSD bounds, finite-block approximation, periodogram")
-    psd.add_argument("--k-list", default="0.5,1,2")
-    psd.add_argument("--K", type=int, default=100000, help="symbols per realization")
-
-    census = sub.add_parser("transition-census", help="crossings per transition interval")
-    census.add_argument("--rho-db", default="0,3,6,10,15,20")
-    census.add_argument("--k-list", default="0.5,1,2")
-    census.add_argument("--mc-trials", type=int, default=0,
-                        help="add Monte-Carlo columns with this many transitions")
-
-    gauss = sub.add_parser("gauss-check", help="shift density vs Gaussian approximation")
-    gauss.add_argument("--rho-db", default=",".join(str(v) for v in range(0, 21, 2)))
-    gauss.add_argument("--k-list", default="0.5,1,2")
-
-    exc = sub.add_parser("excursion", help="mean noise excursion duration")
-    exc.add_argument("--rho-db", default=",".join(str(v) for v in range(0, 21, 2)))
-    exc.add_argument("--k-list", default="1")
-
-    lpd = sub.add_parser("lp-distortion", help="empirical lowpass-distortion statistics")
-    lpd.add_argument("--k-list", default="0.5,1,2,4")
-    lpd.add_argument("--n-time", type=int, default=10**6)
-    lpd.add_argument("--n-ensemble", type=int, default=2000)
-
-    dele = sub.add_parser("deletions", help="deletion census with decoupled (W, beta)")
-    dele.add_argument("--rho-db", default="6,15")
-    dele.add_argument("--beta-list", default="0.5,1,2")
-    dele.add_argument("--ratio-list", default="0.2,0.3,0.5,1.0,1.25",
-                      help="values of 2*beta*W")
-    dele.add_argument("--K", type=int, default=1000)
-    dele.add_argument("--dt", type=float, default=1e-3)
-
-    sim = sub.add_parser("simulate", help="one end-to-end run with match statistics")
-    sim.add_argument("--K", type=int, default=2000)
-    sim.add_argument("--dump-crossings", action="store_true")
-
-    sub.add_parser("constants", help="print c0, c2, and the crossing-rate factor with oracles")
+    for name, (text, options) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text, description=text)
+        for key, default in options.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                cmd.add_argument(flag, action="store_true")
+            elif isinstance(default, tuple):
+                cmd.add_argument(flag, type=int, default=default[0],
+                                 help=f"integer >= {default[1]}")
+            elif isinstance(default, str):
+                cmd.add_argument(flag, default=default, help="comma-separated numbers")
+            else:
+                cmd.add_argument(flag, type=float, default=default)
     return parser
 
 
@@ -661,54 +609,38 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     cfg = load_config(args.config, args.set)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    grid: dict = {}
-    sc = args.subcommand
-    if sc == "bounds-sweep":
-        if args.k_min >= args.k_max or args.k_points < 2:
-            raise UsageError("need k_min < k_max and k_points >= 2")
-        grid = {"k_min": args.k_min, "k_max": args.k_max, "k_points": args.k_points,
-                "rho_db": parse_list(args.rho_db)}
-    elif sc in ("k-opt",):
-        grid = {"rho_db": parse_list(args.rho_db)}
-    elif sc == "spectral-efficiency":
-        grid = {"rho_db": parse_list(args.rho_db), "k_list": parse_list(args.k_list)}
-    elif sc == "psd":
-        if args.K < 1000:
-            raise UsageError("K must be >= 1000")
-        grid = {"k_list": parse_list(args.k_list), "K": args.K}
-    elif sc == "transition-census":
-        if args.mc_trials < 0:
-            raise UsageError(f"mc_trials must be >= 0, got {args.mc_trials}")
-        grid = {"rho_db": parse_list(args.rho_db), "k_list": parse_list(args.k_list),
-                "mc_trials": args.mc_trials}
-    elif sc in ("gauss-check", "excursion"):
-        grid = {"rho_db": parse_list(args.rho_db), "k_list": parse_list(args.k_list)}
-    elif sc == "lp-distortion":
-        if args.n_time < 1 or args.n_ensemble < 1:
-            raise UsageError(f"n_time and n_ensemble must be >= 1, "
-                             f"got {args.n_time} and {args.n_ensemble}")
-        grid = {"k_list": parse_list(args.k_list), "n_time": args.n_time,
-                "n_ensemble": args.n_ensemble}
-    elif sc == "deletions":
-        grid = {"rho_db": parse_list(args.rho_db), "beta_list": parse_list(args.beta_list),
-                "ratio_list": parse_list(args.ratio_list), "K": args.K, "dt": args.dt}
-    elif sc == "simulate":
-        grid = {"K": args.K, "dump_crossings": bool(args.dump_crossings)}
-    if sc in ("deletions", "simulate") and grid["K"] < 1:
-        raise UsageError(f"K must be >= 1, got {grid['K']}")
-    for key in ("rho_db", "k_list", "beta_list", "ratio_list"):
-        if key in grid and not grid[key]:
-            raise UsageError(f"empty grid for {key}")
+    if cfg["seed"] < 0:
+        raise UsageError(f"seed must be >= 0, got {cfg['seed']}")
+    try:
+        _params(cfg)
+    except ValueError as exc:
+        raise UsageError(f"config: {exc}") from exc
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    grid = {}
+    for key, default in _COMMANDS[args.subcommand][1].items():
+        value = getattr(args, key)
+        if isinstance(default, str):
+            value = parse_list(value)
+            if not value:
+                raise UsageError(f"empty grid for {key}")
+        elif isinstance(default, tuple) and value < default[1]:
+            raise UsageError(f"{key} must be >= {default[1]}, got {value}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{key} must be finite, got {value}")
+        grid[key] = value
     for key in ("k_list", "beta_list", "ratio_list"):
         if key in grid and not all(v > 0 for v in grid[key]):
             raise UsageError(f"{key} values must be positive, got {grid[key]}")
-    if sc == "deletions":
+    if "k_min" in grid and not 0 < grid["k_min"] < grid["k_max"]:
+        raise UsageError(f"need 0 < k_min < k_max, got {grid['k_min']} and {grid['k_max']}")
+    if "dt" in grid:
         dt_max = min(grid["beta_list"]) / 20.0
         if not (0 < grid["dt"] <= dt_max):
             raise UsageError(f"dt must lie in (0, min(beta_list)/20 = {dt_max:.3g}], "
                              f"got {grid['dt']}")
     return ExperimentSpec(
-        subcommand=sc, config=cfg, grid=grid, output_dir=args.out,
+        subcommand=args.subcommand, config=cfg, grid=grid, output_dir=args.out,
         seed=cfg["seed"], units=args.units, jobs=args.jobs,
     )
 

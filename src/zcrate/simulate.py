@@ -265,6 +265,14 @@ def extract_crossings(w: SampledWaveform, method: str) -> ZeroCrossingSeq:
     else:
         raise ValueError(f"unknown method {method!r}")
     times = w.t_start + (idx + frac) * w.dt
+    # a sample of exactly 0.0 between two negative samples is two sign changes
+    # that interpolate to one instant; dropping such a pair keeps the
+    # polarities alternating
+    tied = np.nonzero(np.diff(times) <= 0.0)[0]
+    if tied.size:
+        keep = np.ones(idx.size, dtype=bool)
+        keep[tied] = keep[tied + 1] = False
+        idx, times = idx[keep], times[keep]
     first_rising = bool(not pos[idx[0]]) if idx.size else None
     return ZeroCrossingSeq.from_times(times, first_rising=first_rising)
 

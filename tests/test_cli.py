@@ -4,13 +4,16 @@ import csv
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zcrate.cli
 from zcrate.cli import main
 
 
@@ -80,11 +83,59 @@ def test_rerun_byte_identical(tmp_path):
 
 
 def test_jobs_do_not_change_output(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["--out", str(a), "--seed", "3", "bounds-sweep", "--k-points", "6"]) == 0
-    assert main(["--out", str(b), "--seed", "3", "--jobs", "2", "bounds-sweep",
-                 "--k-points", "6"]) == 0
-    assert (a / "bounds_sweep.csv").read_bytes() == (b / "bounds_sweep.csv").read_bytes()
+    cases = [
+        (["bounds-sweep", "--k-points", "6"], ["bounds_sweep.csv"]),
+        (["psd", "--k-list", "1,2", "--K", "1000"], ["psd_k1.csv", "psd_k2.csv"]),
+        (["lp-distortion", "--k-list", "1,2", "--n-time", "2000", "--n-ensemble", "50"],
+         ["lp_distortion.csv"]),
+        (["transition-census", "--rho-db", "10", "--k-list", "1,2", "--mc-trials", "40"],
+         ["transition_census.csv"]),
+        (["deletions", "--rho-db", "15", "--beta-list", "1", "--ratio-list", "0.5,1",
+          "--K", "50", "--dt", "5e-3"], ["deletions.csv"]),
+    ]
+    for i, (args, files) in enumerate(cases):
+        a, b = tmp_path / f"a{i}", tmp_path / f"b{i}"
+        assert main(["--out", str(a), "--seed", "3", *args]) == 0
+        assert main(["--out", str(b), "--seed", "3", "--jobs", "2", *args]) == 0
+        for fname in files:
+            assert (a / fname).read_bytes() == (b / fname).read_bytes(), (args, fname)
+    # a cell draws from its own seed: the k = 1 row does not depend on the cell before it
+    rows = {}
+    for first in ("0.5", "4"):
+        out = tmp_path / f"lp{first}"
+        assert main(["--out", str(out), "--seed", "3", "lp-distortion", "--k-list", f"{first},1",
+                     "--n-time", "2000", "--n-ensemble", "50"]) == 0
+        rows[first] = read_rows(out / "lp_distortion.csv")[1]
+    assert rows["0.5"] == rows["4"]
+
+
+class _RecordingPool:
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, cells):
+        return [fn(*cell) for cell in cells]
+
+
+def test_jobs_size_the_pool_to_the_cells(tmp_path, monkeypatch):
+    monkeypatch.setattr(zcrate.cli, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    assert main(["--out", str(tmp_path / "one"), "k-opt", "--rho-db", "10,20"]) == 0
+    assert _RecordingPool.sizes == []          # --jobs 1 runs in this process
+    assert main(["--out", str(tmp_path / "many"), "--jobs", "64", "k-opt",
+                 "--rho-db", "10,20"]) == 0
+    assert _RecordingPool.sizes == [2]         # never more workers than cells
+    assert main(["--out", str(tmp_path / "few"), "--jobs", "3", "k-opt",
+                 "--rho-db", "10,20,30,40"]) == 0
+    assert _RecordingPool.sizes == [2, 3]
 
 
 def test_invalid_grid_exit_code(tmp_path):
@@ -103,6 +154,17 @@ def test_invalid_grid_exit_code(tmp_path):
     ["simulate", "--K", "0"],
     ["deletions", "--K", "0"],
     ["transition-census", "--mc-trials", "-1"],
+    ["--set", "W=abc", "k-opt"],
+    ["--set", "seed=1.5", "k-opt"],
+    ["--config", "/nonexistent/zcrate.cfg", "k-opt"],
+    ["--set", "P_hat=0", "gauss-check"],
+    ["bounds-sweep", "--rho-db", "nan"],
+    ["--set", "W=nan", "k-opt"],
+    ["--seed", "-1", "simulate"],
+    ["--jobs", "0", "k-opt"],
+    ["--jobs", "-2", "k-opt"],
+    ["bounds-sweep", "--k-min", "0"],
+    ["deletions", "--dt", "nan"],
 ])
 def test_bad_value_is_usage_error(tmp_path, capsys, args):
     rc = main(["--out", str(tmp_path), *args])
@@ -188,9 +250,84 @@ def test_psd_csv_columns(tmp_path):
     assert np.all(lower <= upper)
 
 
-def test_plot_scripts_are_written(tmp_path):
-    out = tmp_path / "plots"
-    assert main(["--out", str(out), "k-opt", "--rho-db", "10,20"]) == 0
-    script = out / "plot_k_opt.py"
-    assert script.exists()
-    assert "matplotlib" in script.read_text()
+class _Axes:
+    """Stands in for a matplotlib Axes: records every call made on it."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return lambda *args, **kwargs: self.calls.append((name, args, kwargs))
+
+
+def _stub_matplotlib(monkeypatch) -> list:
+    """Install a matplotlib that records calls; returns the call list."""
+    calls: list = []
+    pyplot = types.ModuleType("matplotlib.pyplot")
+
+    def subplots(n=1, m=1, squeeze=True, **kw):
+        axes = np.array([[_Axes(calls) for _ in range(m)] for _ in range(n)], dtype=object)
+        if squeeze:
+            axes = axes.item() if axes.size == 1 else axes.ravel()
+        return _Axes(calls), axes
+
+    pyplot.subplots = subplots
+    pyplot.__getattr__ = _Axes(calls).__getattr__
+    package = types.ModuleType("matplotlib")
+    package.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", package)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return calls
+
+
+# subcommand at a small size -> (x column, the y columns its plot draws,
+# marker lines: "axvline"/"axhline" at a position or at each row's column)
+_PLOTTED = {
+    "bounds_sweep": (["bounds-sweep", "--k-points", "3", "--rho-db", "10,20"], "k",
+                     ["lower_bits_s", "upper_bits_s", "awgn_bits_s"], []),
+    "k_opt": (["k-opt", "--rho-db", "10,20"], "rho_dB", ["k_opt", "ratio_awgn_over_lower"], []),
+    "spectral_efficiency": (["spectral-efficiency", "--rho-db", "0,10", "--k-list", "1,2"],
+                            "rho_dB", ["lower_bits_s_hz", "upper_bits_s_hz"],
+                            [("axvline", "sdr_star_dB")]),
+    "psd": (["psd", "--k-list", "1,2", "--K", "1000"], "f_over_W", ["upper", "empirical"], []),
+    "transition_census": (["transition-census", "--rho-db", "10", "--k-list", "1"], "rho_dB",
+                          ["E_N", "Var_N"], []),
+    "gauss_check": (["gauss-check", "--rho-db", "0,10", "--k-list", "1"], "rho_dB",
+                    ["sigma_ratio"], [("axhline", 1.0)]),
+    "excursion": (["excursion", "--rho-db", "0,10"], "rho_dB", ["tau_over_beta"], []),
+    "lp_distortion": (["lp-distortion", "--k-list", "1,2", "--n-time", "2000",
+                       "--n-ensemble", "50"], "k",
+                      ["var_time", "var_ensemble", "sigma_xt_sq_lo", "sigma_xt_sq_hi", "kl_nats"],
+                      []),
+    "deletions": (["deletions", "--rho-db", "15", "--beta-list", "1", "--ratio-list", "0.5,1",
+                   "--K", "50", "--dt", "5e-3"], "two_beta_W", ["n_deletions"],
+                  [("axvline", 1.0)]),
+}
+
+
+def test_plot_scripts_are_written(tmp_path, monkeypatch, capsys):
+    calls = _stub_matplotlib(monkeypatch)
+    for name, (args, x, columns, markers) in _PLOTTED.items():
+        out = tmp_path / name
+        assert main(["--out", str(out), *args]) == 0
+        script = out / f"plot_{name}.py"
+        assert "matplotlib" in script.read_text()
+        calls.clear()
+        runpy.run_path(str(script), run_name="__main__")
+        drawn = set()
+        for method, cargs, _ in calls:
+            if method in ("plot", "semilogy", "scatter"):
+                drawn |= set(zip(cargs[0], cargs[1]))
+        csvs = sorted(out.glob("psd_k*.csv" if name == "psd" else f"{name}.csv"))
+        assert csvs
+        for path in csvs:
+            rows = read_rows(path)
+            for column in columns:
+                want = {(float(r[x]), float(r[column])) for r in rows}
+                assert want <= drawn, (name, path.name, column)
+            for method, at in markers:
+                want = {float(r[at]) for r in rows} if isinstance(at, str) else {at}
+                assert want <= {c[1][0] for c in calls if c[0] == method}, (name, method)
+        assert [c[1][0] for c in calls if c[0] == "savefig"] == [out / f"{name}.png"]

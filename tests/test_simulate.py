@@ -368,6 +368,29 @@ class TestQuantizeExtract:
         assert len(rx) == len(tx)
         assert np.max(np.abs(rx.times - tx.times)) <= dt
 
+    def test_exact_zero_between_negative_samples_is_no_crossing(self):
+        rx = extract_crossings(SampledWaveform(np.array([-1.0, 0.0, -1.0]), 1.0), "interp")
+        assert len(rx) == 0
+        rx = extract_crossings(SampledWaveform(np.array([1.0, -1.0, 0.0, -1.0, 2.0]), 0.5), "interp")
+        assert np.allclose(rx.times, [0.25, 1.5 + 1.0 / 6.0]) and rx.first_rising is False
+
+    def test_injected_exact_zeros_in_noise(self):
+        # each exact zero flanked by negative samples removes one tied pair
+        # of crossings and leaves every other crossing where it was
+        x = np.random.default_rng(21).standard_normal(4000)
+        clean = extract_crossings(SampledWaveform(x, 0.1), "interp")
+        dips = []
+        for i in range(1, len(x) - 1):
+            if x[i - 1] < 0 and x[i] < 0 and x[i + 1] < 0 and (not dips or i > dips[-1] + 1):
+                dips.append(i)
+        x[dips[:25]] = 0.0
+        rx = extract_crossings(SampledWaveform(x, 0.1), "interp")
+        assert np.all(np.diff(rx.times) > 0)
+        assert rx.first_rising == clean.first_rising
+        np.testing.assert_array_equal(rx.times, clean.times)
+        mid = extract_crossings(SampledWaveform(x, 0.1), "midpoint")
+        assert len(mid) == len(clean) + 50
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.3, 4.0), st.floats(0.2, 5.0), st.integers(20, 80),
            st.integers(0, 2**32 - 1))
