@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .distortion import DistortionBounds, c0_constant, c1_of_k, c2_constant, distortion_bounds
 from .params import DerivedParams
@@ -111,6 +110,8 @@ def waterfill_nu(sigma_A_sq: float, sigma_S_sq: float) -> float:
         raise ValueError("sigma_A_sq and sigma_S_sq must be positive")
     if sigma_A_sq >= 2.0 * sigma_S_sq:
         return sigma_A_sq + 2.0 * sigma_S_sq
+    from scipy.optimize import brentq  # only this branch needs scipy.optimize
+
     q = sigma_A_sq / sigma_S_sq  # target in units of sigma_S^2
 
     def filled(t: float) -> float:
@@ -134,6 +135,8 @@ def waterfill_residual(nu: float, sigma_A_sq: float, sigma_S_sq: float, n_nodes:
     if depth(0.5) >= 0.0:
         f_edge = 0.5
     else:
+        from scipy.optimize import brentq
+
         f_edge = brentq(depth, 0.0, 0.5, xtol=1e-16, rtol=8.9e-16)
     nodes, weights = gauss_legendre(n_nodes)
     f = 0.5 * f_edge * (nodes + 1.0)

@@ -163,7 +163,7 @@ class AcfModel:
 
     @classmethod
     def distortion(cls, params: DerivedParams, which: str = "upper") -> "AcfModel":
-        """Lowpass-distortion ACF from the flattened PSD bound (tail quadrature).
+        """Lowpass-distortion ACF from the flattened PSD bound (acf_tail_moment).
 
         which='upper' reproduces the closed-form upper variance and lower
         curvature bounds at lag 0; which='lower' the opposite pairing.

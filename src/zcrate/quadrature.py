@@ -1,8 +1,11 @@
 """Shared numeric-integration helpers.
 
-Thin wrappers around scipy's adaptive quadrature that turn silent accuracy
-loss into a hard error, plus the log-singular integrals that the water-filling
-rate and the arcosh identity need.
+Cached Gauss-Legendre rules and the log-singular integrals that the
+water-filling rate and the arcosh identity need, plus a wrapper around scipy's
+adaptive quadrature (QUADPACK) that turns silent accuracy loss into a hard
+error.  QUADPACK backs only the ``constants`` oracle and the tests, so
+``scipy.integrate`` is imported on the first call of ``quad_checked``, not
+with this module.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import warnings
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 __all__ = ["NumericalError", "quad_checked", "log_sine_integral", "gauss_legendre"]
 
@@ -33,6 +35,8 @@ def quad_checked(
     **kwargs,
 ) -> float:
     """scipy.integrate.quad with the error estimate actually enforced."""
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, abserr = integrate.quad(

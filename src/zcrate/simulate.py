@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import next_fast_len
 from scipy.special import ndtr, sici
 
 from .params import (
@@ -79,6 +78,24 @@ class SampledWaveform:
         return int(self.samples.size)
 
 
+def _fast_fft_len(n: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= n, for n >= 1.
+
+    The value of ``scipy.fft.next_fast_len(n, real=True)``, without importing
+    ``scipy.fft``: for each 3^b 5^c below the first power of two >= n, the
+    smallest power of two that lifts it to n or above.
+    """
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def synthesize(
     zcs: ZeroCrossingSeq,
     params: DerivedParams,
@@ -110,7 +127,7 @@ def synthesize(
     if T[0] - beta / 2.0 <= -lead:
         raise ValueError("first transition does not fit the lead plateau")
     t_start = -lead
-    n = next_fast_len(int(math.ceil((T[-1] + beta / 2.0 + tail + lead) / dt)) + 1, real=True)
+    n = _fast_fft_len(int(math.ceil((T[-1] + beta / 2.0 + tail + lead) / dt)) + 1)
     t = t_start + dt * np.arange(n)
     amp = math.sqrt(p.P_hat)
 

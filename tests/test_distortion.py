@@ -164,11 +164,57 @@ class TestDistortionAcf:
         assert AcfModel.distortion(p, "upper").s0 == pytest.approx(db.sigma_xt_sq_hi, rel=1e-12)
 
     def test_tail_moment_parity(self):
-        # cosine moments are even in the lag, sine moment vanishes at 0
+        # cosine moments are even in the lag, sine moments odd and 0 at 0
         assert acf_tail_moment(1, 0.0, "sin") == pytest.approx(0.0, abs=1e-12)
         m0 = acf_tail_moment(0, 0.35, "cos")
         assert m0 > 0
         assert acf_tail_moment(0, 0.0, "cos") > m0  # decays with lag
+        for m in (0, 1, 2):
+            assert acf_tail_moment(m, -0.35, "cos") == acf_tail_moment(m, 0.35, "cos")
+            assert acf_tail_moment(m, -1.7, "sin") == -acf_tail_moment(m, 1.7, "sin")
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
+    def test_tail_moment_is_smooth_across_r_1(self, m, kind):
+        # at r = 1 the tone trig(u (r - 1)) of the tail has frequency 0; the
+        # moment is smooth there, so values at 1 +- delta must follow its
+        # quadratic Taylor polynomial at 1 (slope and curvature from central
+        # differences at h = 1e-4) to 1e-12 of the r = 0 moment
+        scale = abs(acf_tail_moment(m, 0.0, "cos"))
+        at_1 = acf_tail_moment(m, 1.0, kind)
+        h = 1e-4
+        up, down = acf_tail_moment(m, 1.0 + h, kind), acf_tail_moment(m, 1.0 - h, kind)
+        slope = (up - down) / (2.0 * h)
+        curvature = (up + down - 2.0 * at_1) / h**2
+        for delta in (1e-6, 1e-9, 1e-12):
+            for side in (1.0, -1.0):
+                step = side * delta
+                taylor = at_1 + step * slope + 0.5 * step**2 * curvature
+                value = acf_tail_moment(m, 1.0 + step, kind)
+                assert abs(value - taylor) <= 1e-12 * scale, (delta, side)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
+    def test_tail_moment_matches_unsplit_quadrature(self, m, kind):
+        # oracle: QUADPACK on u^m w(u) trig(u r) as it stands, QAGS on the
+        # head and the Fourier-weighted QAWF rule on [4 pi, inf); QAWF loses
+        # accuracy as r -> 1, so r stays away from it
+        def f(u):
+            return u**m * g_mag_sq(u, 1.0)
+
+        trig = math.cos if kind == "cos" else math.sin
+        scale = abs(acf_tail_moment(m, 0.0, "cos"))
+        for r in (0.0, 0.05, 0.3, 0.7, 1.3, 2.0, 3.3, 5.0, 7.7, 10.0, 13.1, 16.0, 20.0):
+            head = quad(lambda u: f(u) * trig(r * u), math.pi, 4.0 * math.pi,
+                        epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+            if r == 0.0:
+                tail = quad(f, 4.0 * math.pi, np.inf, epsabs=1e-12, epsrel=1e-12,
+                            limit=500)[0] if kind == "cos" else 0.0
+            else:
+                tail = quad(f, 4.0 * math.pi, np.inf, weight=kind, wvar=r,
+                            epsabs=1e-12, epsrel=1e-12, limlst=200, limit=200)[0]
+            assert acf_tail_moment(m, r, kind) == pytest.approx(head + tail, abs=1e-10 * scale), r
 
     @pytest.mark.parametrize(
         "m, r, kind",
@@ -195,6 +241,8 @@ class TestDistortionAcf:
                 acf_tail_moment(3, 0.5, "cos")
             with pytest.raises(ValueError, match="kind must be"):
                 acf_tail_moment(0, 0.5, "tan")
+            with pytest.raises(ValueError, match="r must be finite"):
+                acf_tail_moment(0, math.nan, "cos")
 
     def test_excursion_scalefree_form(self):
         # erfc convention sanity: mean excursion at level 0 is pi sqrt(s/-s'')

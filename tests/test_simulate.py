@@ -13,6 +13,7 @@ from zcrate.distortion import distortion_bounds
 from zcrate.params import ChannelConfig, ZeroCrossingSeq, derive, sample_input_sequence
 from zcrate.simulate import (
     SampledWaveform,
+    _fast_fft_len,
     _si_cin,
     deletion_census,
     extract_crossings,
@@ -191,6 +192,14 @@ class TestSynthesize:
         assert t[-1] >= end + tail - 1e-9
         level = math.sqrt(p.P_hat) * (1.0 if K % 2 == 0 else -1.0)
         assert np.all(x.samples[t > end] == level)
+
+    def test_fast_fft_len_is_scipys_real_fast_length(self):
+        # the padded length, and so every Monte-Carlo output, must not move
+        from scipy.fft import next_fast_len
+
+        rng = np.random.default_rng(16)
+        ns = [*range(1, 2**16 + 1), *rng.integers(2**16, 5 * 10**7, 2000).tolist()]
+        assert [n for n in ns if _fast_fft_len(n) != next_fast_len(n, real=True)] == []
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_transition_loop(self, seed):
