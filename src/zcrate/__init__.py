@@ -9,7 +9,7 @@ from .params import (
     derive,
     sample_input_sequence,
 )
-from .spectrum import PoleError, PsdBounds, psd_bounds, psd_finite_k
+from .spectrum import PoleError, PsdBounds, psd_finite_k
 from .distortion import DistortionBounds, c0_constant, c2_constant, distortion_bounds
 from .bounds import (
     BoundReport,
@@ -31,7 +31,6 @@ __all__ = [
     "awgn_capacity",
     "PoleError",
     "PsdBounds",
-    "psd_bounds",
     "psd_finite_k",
     "DistortionBounds",
     "c0_constant",

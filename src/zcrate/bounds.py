@@ -44,6 +44,9 @@ __all__ = [
 
 _LOG_E_OVER_2PI = 1.0 - math.log(2.0 * math.pi)
 
+# Gauss-Legendre nodes of the water-filling constraint check
+_RESIDUAL_NODES = 200
+
 
 def sigma_S_sq(params: DerivedParams, sigma_z_sq: float) -> float:
     """Variance of the noise-induced crossing shift: sigma_z^2/(4 pi^2 W^2 P_hat)."""
@@ -123,7 +126,7 @@ def waterfill_nu(sigma_A_sq: float, sigma_S_sq: float) -> float:
     return t * sigma_S_sq
 
 
-def waterfill_residual(nu: float, sigma_A_sq: float, sigma_S_sq: float, n_nodes: int = 200) -> float:
+def waterfill_residual(nu: float, sigma_A_sq: float, sigma_S_sq: float) -> float:
     """Constraint residual |int (nu - S(f))^+ df - sigma_A^2| by quadrature.
 
     The (.)^+ kink is located by an independent root solve on nu - S(f) so
@@ -138,7 +141,7 @@ def waterfill_residual(nu: float, sigma_A_sq: float, sigma_S_sq: float, n_nodes:
         from scipy.optimize import brentq
 
         f_edge = brentq(depth, 0.0, 0.5, xtol=1e-16, rtol=8.9e-16)
-    nodes, weights = gauss_legendre(n_nodes)
+    nodes, weights = gauss_legendre(_RESIDUAL_NODES)
     f = 0.5 * f_edge * (nodes + 1.0)
     s = 2.0 * sigma_S_sq * (1.0 - np.cos(2.0 * math.pi * f))
     filled = 2.0 * 0.5 * f_edge * float(np.dot(weights, nu - s))
@@ -164,22 +167,19 @@ class BoundReport:
     """All headline quantities for one parameter point, rates in nats/s.
 
     lower_rate is clamped at zero (it bounds a nonnegative quantity);
-    lower_rate_raw keeps the unclamped value for plotting.  genie_upper and
-    upper_rate coincide: the upper bound ignores insertions, so the genie
-    water-filling rate is the final upper bound.
+    lower_rate_raw keeps the unclamped value for plotting.  The upper bound
+    ignores insertions, so the genie water-filling rate is the final upper
+    bound.
     """
 
-    params: DerivedParams
     lower_rate: float
     lower_rate_raw: float
     upper_rate: float
     genie_lower: float
-    genie_upper: float
     mu_bar: float
     h_v_rate: float
     nu: float
     sigma_S_sq: float       # shift variance used by the upper bound (lower sigma_z^2)
-    sigma_S_sq_hi: float    # shift variance from the upper sigma_z^2
     sdr: DistortionBounds
     awgn: float
     clamped: bool
@@ -203,17 +203,14 @@ def bound_report(params: DerivedParams) -> BoundReport:
     upper = _waterfill_rate_per_symbol(nu, s_sq_lo) / p.T_avg
 
     return BoundReport(
-        params=p,
         lower_rate=lower,
         lower_rate_raw=lower_raw,
         upper_rate=upper,
         genie_lower=g_lower,
-        genie_upper=upper,
         mu_bar=mu_bar,
         h_v_rate=h_v_rate,
         nu=nu,
         sigma_S_sq=s_sq_lo,
-        sigma_S_sq_hi=sigma_S_sq(p, db.sigma_z_sq_hi),
         sdr=db,
         awgn=p.W * math.log1p(p.rho),
         clamped=lower_raw < 0.0,
@@ -277,25 +274,28 @@ def delta_offset(k: float, rho: float) -> float:
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# golden-section search interval and stopping width of k_opt
+_K_BRACKET = (0.05, 5.0)
+_K_TOL = 1e-4
 
-def k_opt(rho: float, bracket: tuple[float, float] = (0.05, 5.0), tol: float = 1e-4) -> float:
-    """Ratio k minimizing the AWGN offset at a given SNR (golden-section search).
+
+def k_opt(rho: float) -> float:
+    """Ratio k minimizing the AWGN offset at a given SNR (golden-section search
+    over k in [0.05, 5], to a width of 1e-4).
 
     Raises NumericalError when the offset is infinite (the lower bound
     nonpositive) at every probed k: there is no minimum to find, and the
     search would return the bracket edge.  It also raises when the search
-    ends within ``tol`` of either bracket edge: the offset is still falling
+    ends within the width of either bracket edge: the offset is still falling
     there, so the minimum lies outside the bracket.
     """
-    lo, hi = bracket
-    if not (0 < lo < hi):
-        raise ValueError(f"invalid bracket {bracket}")
+    lo, hi = _K_BRACKET
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = delta_offset(c, rho), delta_offset(d, rho)
     finite = math.isfinite(fc) or math.isfinite(fd)
-    while b - a > tol:
+    while b - a > _K_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -308,14 +308,14 @@ def k_opt(rho: float, bracket: tuple[float, float] = (0.05, 5.0), tol: float = 1
             finite = finite or math.isfinite(fd)
     if not finite:
         raise NumericalError(
-            f"the lower bound is nonpositive at every probed k in {bracket} at rho = {rho:g}"
+            f"the lower bound is nonpositive at every probed k in {_K_BRACKET} at rho = {rho:g}"
         )
     k = 0.5 * (a + b)
     for edge, name in ((lo, "lower"), (hi, "upper")):
-        if abs(k - edge) <= tol:
+        if abs(k - edge) <= _K_TOL:
             raise NumericalError(
                 f"the search ended at the {name} bracket edge k = {edge:g} at rho = {rho:g}:"
-                f" the minimum lies outside {bracket}"
+                f" the minimum lies outside {_K_BRACKET}"
             )
     return k
 

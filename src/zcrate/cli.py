@@ -54,7 +54,7 @@ from .simulate import (
     run_chain,
     transition_crossing_census,
 )
-from .spectrum import psd_bounds, psd_finite_k
+from .spectrum import PsdBounds, psd_finite_k
 
 LN2 = math.log(2.0)
 
@@ -68,10 +68,9 @@ class ExperimentSpec:
     """Everything one subcommand run depends on."""
 
     subcommand: str
-    config: dict              # W, lambda, rho, P_hat (floats)
+    config: dict              # W, lambda, rho, P_hat (floats), seed (int)
     grid: dict                # subcommand-specific ranges and sizes
     output_dir: str
-    seed: int
     units: str = "bits"
     jobs: int = 1
 
@@ -124,7 +123,7 @@ def _params(cfg: dict, k: float | None = None, rho_db: float | None = None) -> D
     """The config's parameters, at k = W/lambda and SNR rho_db [dB] when given."""
     lam = cfg["lambda"] if k is None else cfg["W"] / k
     rho = cfg["rho"] if rho_db is None else 10.0 ** (rho_db / 10.0)
-    return derive(ChannelConfig(W=cfg["W"], lam=lam, rho=rho, P_hat=cfg["P_hat"], seed=cfg["seed"]))
+    return derive(ChannelConfig(W=cfg["W"], lam=lam, rho=rho, P_hat=cfg["P_hat"]))
 
 
 def parse_list(text: str) -> list[float]:
@@ -161,9 +160,8 @@ def write_manifest(spec: ExperimentSpec, out: Path, files: list[str]) -> None:
     payload = {
         "subcommand": spec.subcommand,
         "config": spec.config,
-        "grid": {k: (list(v) if isinstance(v, (list, tuple, np.ndarray)) else v)
-                 for k, v in spec.grid.items()},
-        "seed": spec.seed,
+        "grid": spec.grid,
+        "seed": spec.config["seed"],
         "units": spec.units,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -281,7 +279,7 @@ def _psd_cell(cfg: dict, grid: dict, seed, k: float) -> list[tuple]:
     mask = (emp.f > 0) & (emp.f <= 3.0 * p.W)
     f = emp.f[mask]
     w = 2.0 * math.pi * f
-    pb = psd_bounds(p)
+    pb = PsdBounds(p)
     finite_k = psd_finite_k(w, p, grid["K"])
     return list(zip(f / p.W, pb.lower(w), pb.upper(w), emp.psd[mask], finite_k))
 
@@ -322,7 +320,8 @@ def _deletions_cell(cfg: dict, grid: dict, seed, rho_db: float, beta: float, rat
     W = ratio / (2.0 * beta)
     dc = deletion_census(1.0, beta, W, 10.0 ** (rho_db / 10.0), grid["K"], grid["dt"],
                          np.random.default_rng(seed), P_hat=cfg["P_hat"])
-    return (rho_db, beta, W, ratio, dc.k_tilde, dc.n_symbols, dc.n_deletions, dc.n_insertions)
+    return (rho_db, beta, W, ratio, dc.k_tilde, grid["K"], dc.n_deletions, dc.n_insertions,
+            dc.n_deletions_filter)
 
 
 @dataclass(frozen=True)
@@ -397,7 +396,7 @@ _SWEEPS = {
     "deletions": Sweep(
         lambda g: (g["rho_db"], g["beta_list"], g["ratio_list"]), _deletions_cell,
         "deletions.csv", ("rho_dB", "beta", "W", "two_beta_W", "k_tilde", "n_symbols",
-                          "n_deletions", "n_insertions"),
+                          "n_deletions", "n_insertions", "n_deletions_filter"),
         Plot("deletion census", "two_beta_W", "2 beta W", group="rho_dB", scatter=True,
              panels={"deletions": ("n_deletions",)}, markers=(("axvline", 1.0),)),
         seeded=_monte_carlo),
@@ -416,7 +415,8 @@ def run_sweep(spec: ExperimentSpec, out: Path) -> list[str]:
     sweep = _SWEEPS[spec.subcommand]
     points = list(itertools.product(*sweep.axes(spec.grid)))
     seeded = sweep.seeded(spec.grid)
-    seeds = np.random.SeedSequence(spec.seed).spawn(len(points)) if seeded else [None] * len(points)
+    seeds = (np.random.SeedSequence(spec.config["seed"]).spawn(len(points)) if seeded
+             else [None] * len(points))
     results = _map(sweep.cell, [(spec.config, spec.grid, seed, *point)
                                 for seed, point in zip(seeds, points)], spec.jobs)
     header = list(sweep.header + (sweep.mc_header if seeded else ()))
@@ -436,7 +436,7 @@ def run_sweep(spec: ExperimentSpec, out: Path) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def run_simulate(spec: ExperimentSpec, out: Path) -> list[str]:
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.config["seed"])
     p = _params(spec.config)
     rep = bound_report(p)
     scale = 1.0 if spec.units == "nats" else 1.0 / LN2
@@ -557,14 +557,14 @@ _COMMANDS = {
                             {"rho_db": _steps(0, 51, 2), "k_list": "0.5,1,2,4"}),
     "psd": ("PSD bounds, finite-block approximation, periodogram of K symbols",
             {"k_list": "0.5,1,2", "K": (100000, 1000)}),
-    "transition-census": ("crossings per transition interval; --mc-trials adds "
-                          "Monte-Carlo columns over that many transitions",
+    "transition-census": ("crossings per transition interval; --mc-trials N >= 2 adds "
+                          "Monte-Carlo columns over N transitions",
                           {"rho_db": "0,3,6,10,15,20", "k_list": "0.5,1,2", "mc_trials": (0, 0)}),
     "gauss-check": ("shift density vs Gaussian approximation",
                     {"rho_db": _steps(0, 21, 2), "k_list": "0.5,1,2"}),
     "excursion": ("mean noise excursion duration", {"rho_db": _steps(0, 21, 2), "k_list": "1"}),
     "lp-distortion": ("empirical lowpass-distortion statistics",
-                      {"k_list": "0.5,1,2,4", "n_time": (10**6, 1), "n_ensemble": (2000, 1)}),
+                      {"k_list": "0.5,1,2,4", "n_time": (10**6, 2), "n_ensemble": (2000, 2)}),
     "deletions": ("deletion census with decoupled (W, beta); --ratio-list gives 2*beta*W",
                   {"rho_db": "6,15", "beta_list": "0.5,1,2",
                    "ratio_list": "0.2,0.3,0.5,1.0,1.25", "K": (1000, 1), "dt": 1e-3}),
@@ -629,6 +629,8 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         elif isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"{key} must be finite, got {value}")
         grid[key] = value
+    if grid.get("mc_trials") == 1:
+        raise UsageError("mc_trials must be 0 or >= 2, got 1")
     for key in ("k_list", "beta_list", "ratio_list"):
         if key in grid and not all(v > 0 for v in grid[key]):
             raise UsageError(f"{key} values must be positive, got {grid[key]}")
@@ -641,7 +643,7 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
                              f"got {grid['dt']}")
     return ExperimentSpec(
         subcommand=args.subcommand, config=cfg, grid=grid, output_dir=args.out,
-        seed=cfg["seed"], units=args.units, jobs=args.jobs,
+        units=args.units, jobs=args.jobs,
     )
 
 

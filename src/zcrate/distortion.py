@@ -205,7 +205,6 @@ class DistortionBounds:
     sigma_z_sq_lo/hi   : total-noise variance, filtered noise + distortion
     s2_zz_lo           : lower bound on the total-noise ACF curvature
     sdr_lo/hi          : signal-to-distortion ratio sandwich, P/sigma_xt^2
-    rho_star_lo/hi     : diagnostic post-filter SNR bounds (P - sigma_xt^2)/(N0 W)
     """
 
     sigma_xt_sq_lo: float
@@ -216,8 +215,6 @@ class DistortionBounds:
     s2_zz_lo: float
     sdr_lo: float
     sdr_hi: float
-    rho_star_lo: float
-    rho_star_hi: float
 
 
 def distortion_bounds(params: DerivedParams) -> DistortionBounds:
@@ -241,6 +238,4 @@ def distortion_bounds(params: DerivedParams) -> DistortionBounds:
         s2_zz_lo=s2_nn + s2_xt_lo,
         sdr_lo=p.P / sigma_xt_sq_hi,
         sdr_hi=p.P / sigma_xt_sq_lo,
-        rho_star_lo=(p.P - sigma_xt_sq_hi) / noise_var,
-        rho_star_hi=(p.P - sigma_xt_sq_lo) / noise_var,
     )

@@ -28,7 +28,6 @@ from .quadrature import gauss_legendre
 __all__ = [
     "AcfModel",
     "pdf_shift",
-    "pdf_shift_gauss",
     "shift_variance_ratio",
     "transition_curve",
     "expected_curve_crossings",
@@ -39,9 +38,18 @@ __all__ = [
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
+# Gauss-Legendre node counts
+_CURVE_NODES = 400   # shift density support; [0, T] of expected_curve_crossings
+_TAU_NODES = 48      # lag axis of the two-point crossing integral
+_T_NODES = 32        # start-time axis of the two-point crossing integral
+_INNER_NODES = 64    # conditioning variable of _abs_cross_moment
+
 # lag rows of the two-point crossing integral evaluated per broadcast call;
 # all 48 rows at once raise the peak memory of a transition-census run by 5%
 _TAU_BLOCK = 8
+
+# width of the |t2 - t1| strip variance_curve_crossings leaves out, over T
+_EPS_FRAC = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +78,7 @@ def pdf_shift(s, params: DerivedParams, sigma_z_sq: float):
     return float(out[0]) if scalar else out
 
 
-def pdf_shift_gauss(s, params: DerivedParams, sigma_z_sq: float):
-    """Small-shift Gaussian approximation N(0, sigma_S^2) of :func:`pdf_shift`."""
-    var = sigma_z_sq / (4.0 * math.pi**2 * params.W**2 * params.P_hat)
-    s = np.asarray(s, dtype=float)
-    return np.exp(-(s**2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-
-
-def shift_variance_ratio(params: DerivedParams, sigma_z_sq: float, n_nodes: int = 400) -> float:
+def shift_variance_ratio(params: DerivedParams, sigma_z_sq: float) -> float:
     """Variance of the exact (normalized) shift density over sigma_S^2.
 
     Close to 1 in the mid-to-high SNR regime; drifts away as the Gaussian
@@ -85,7 +86,7 @@ def shift_variance_ratio(params: DerivedParams, sigma_z_sq: float, n_nodes: int 
     """
     p = params
     half = p.beta / 2.0
-    nodes, weights = gauss_legendre(n_nodes)
+    nodes, weights = gauss_legendre(_CURVE_NODES)
     s = half * nodes  # symmetric on [-beta/2, beta/2], scaled below
     dens = pdf_shift(s, p, sigma_z_sq)
     mass = half * float(np.dot(weights, dens))
@@ -247,7 +248,6 @@ def expected_curve_crossings(
     psi_prime: Callable,
     T: float,
     acf: AcfModel,
-    n_nodes: int = 400,
 ) -> float:
     """Expected number of crossings of the curve psi by the process in [0, T].
 
@@ -258,14 +258,14 @@ def expected_curve_crossings(
     """
     lam2 = -float(np.asarray(acf.s2(0.0)))
     sigma = math.sqrt(acf.s0)
-    nodes, weights = gauss_legendre(n_nodes)
+    nodes, weights = gauss_legendre(_CURVE_NODES)
     y = 0.5 * T * (nodes + 1.0)
     dens = np.exp(-psi(y) ** 2 / (2.0 * acf.s0)) / (sigma * math.sqrt(2.0 * math.pi))
     speed = _folded_mean(psi_prime(y), math.sqrt(lam2))
     return 0.5 * T * float(np.dot(weights, dens * speed))
 
 
-def _abs_cross_moment(m1, m2, c11, c12, c22, a1, a2, n_nodes: int = 64):
+def _abs_cross_moment(m1, m2, c11, c12, c22, a1, a2):
     """E[|X1 - a1| |X2 - a2|] for (X1, X2) ~ N((m1, m2), [[c11, c12], [c12, c22]]).
 
     Conditioning on X2 leaves a folded-normal mean (smooth); the outer
@@ -282,12 +282,12 @@ def _abs_cross_moment(m1, m2, c11, c12, c22, a1, a2, n_nodes: int = 64):
 
     span = 9.0
     ustar = np.clip((a2 - m2) / sd2, -span, span)
-    nodes, weights = gauss_legendre(n_nodes)
+    nodes, weights = gauss_legendre(_INNER_NODES)
     total = np.zeros(m1.shape)
     for lo, hi in ((-span * np.ones_like(ustar), ustar), (ustar, span * np.ones_like(ustar))):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        u = mid[..., None] + half[..., None] * nodes  # (..., n_nodes)
+        u = mid[..., None] + half[..., None] * nodes  # (..., _INNER_NODES)
         x2 = m2[..., None] + sd2[..., None] * u
         phi = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
         mu1 = m1[..., None] + slope[..., None] * (x2 - m2[..., None])
@@ -307,27 +307,23 @@ def variance_curve_crossings(
     psi_prime: Callable,
     T: float,
     acf: AcfModel,
-    eps_frac: float = 1e-3,
-    n_tau: int = 48,
-    n_t: int = 32,
-    n_inner: int = 64,
 ) -> CurveCrossingVariance:
     """Variance of the curve-crossing count in [0, T].
 
     Var N = E[N] - E[N]^2 + E[N(N-1)], with the second factorial moment a
     double time integral of the two-point crossing intensity.  The joint
     covariance of (z(t1), z(t2)) degenerates at coincident times, so the
-    strip |t2 - t1| < eps_frac * T is excluded and its estimated mass
+    strip |t2 - t1| < 1e-3 T is excluded and its estimated mass
     reported alongside the result.
     """
     expectation = expected_curve_crossings(psi, psi_prime, T, acf)
     lam2 = -float(np.asarray(acf.s2(0.0)))
     s0 = acf.s0
-    eps = eps_frac * T
+    eps = _EPS_FRAC * T
 
-    tau_nodes, tau_weights = gauss_legendre(n_tau)
-    t_nodes, t_weights = gauss_legendre(n_t)
-    tau = 0.5 * (T - eps) * (tau_nodes + 1.0) + eps  # (n_tau,)
+    tau_nodes, tau_weights = gauss_legendre(_TAU_NODES)
+    t_nodes, t_weights = gauss_legendre(_T_NODES)
+    tau = 0.5 * (T - eps) * (tau_nodes + 1.0) + eps  # (_TAU_NODES,)
 
     s_tau = np.asarray(acf.s(tau))
     s1_tau = np.asarray(acf.s1(tau))
@@ -338,12 +334,12 @@ def variance_curve_crossings(
 
     # the two-point intensity g(t1, t1 + tau) on the t1 quadrature grid, for
     # _TAU_BLOCK lag rows at a time: one broadcast call per block, with the
-    # (rows, n_t, n_inner) temporaries kept small
-    inner_vals = np.empty(n_tau)
-    for lo in range(0, n_tau, _TAU_BLOCK):
+    # (rows, _T_NODES, _INNER_NODES) temporaries kept small
+    inner_vals = np.empty(_TAU_NODES)
+    for lo in range(0, _TAU_NODES, _TAU_BLOCK):
         rows = slice(lo, lo + _TAU_BLOCK)
         tau_b = tau[rows, None]
-        t1 = 0.5 * (T - tau_b) * (t_nodes + 1.0)  # (rows, n_t)
+        t1 = 0.5 * (T - tau_b) * (t_nodes + 1.0)  # (rows, _T_NODES)
         t2 = t1 + tau_b
         p1, p2 = psi(t1), psi(t2)
         st, s1t, d = s_tau[rows, None], s1_tau[rows, None], det[rows, None]
@@ -354,7 +350,7 @@ def variance_curve_crossings(
         m2 = s1t * (s0 * p1 - st * p2) / d
         cross = _abs_cross_moment(
             m1, m2, c_diag[rows, None], c_off[rows, None], c_diag[rows, None],
-            psi_prime(t1), psi_prime(t2), n_nodes=n_inner,
+            psi_prime(t1), psi_prime(t2),
         )
         # one dot per row: a matrix-vector product sums in another order and
         # moves the result in the last bit

@@ -37,14 +37,12 @@ class ChannelConfig:
     rho    : linear SNR, defined against the average power of the
              unfiltered transmit signal (rho = P / (N0 W))
     P_hat  : peak power of the transmit signal, W
-    seed   : RNG seed for anything stochastic derived from this config
     """
 
     W: float
     lam: float
     rho: float
     P_hat: float = 1.0
-    seed: int = 0
 
     def validate(self) -> None:
         for name in ("W", "lam", "rho", "P_hat"):
@@ -65,7 +63,6 @@ class DerivedParams:
     lam: float
     rho: float
     P_hat: float
-    seed: int
     beta: float          # transition time, = 1/(2W)
     T_avg: float         # mean symbol duration, = 1/lam + beta
     sigma_A_sq: float    # variance of the input spacings, = 1/lam^2
@@ -90,7 +87,6 @@ def derive(config: ChannelConfig) -> DerivedParams:
         lam=lam,
         rho=rho,
         P_hat=P_hat,
-        seed=config.seed,
         beta=beta,
         T_avg=T_avg,
         sigma_A_sq=1.0 / lam**2,

@@ -61,7 +61,11 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-def log_sine_integral(x: float, n_nodes: int = 80) -> float:
+# Gauss-Legendre nodes for the smooth remainder of log_sine_integral
+_LOG_SINE_NODES = 80
+
+
+def log_sine_integral(x: float) -> float:
     """integral_0^x ln(sin(pi f)) df for 0 <= x <= 1/2.
 
     The integrand has a logarithmic endpoint singularity at f = 0; it is
@@ -74,7 +78,7 @@ def log_sine_integral(x: float, n_nodes: int = 80) -> float:
         return 0.0
     # analytic piece: int_0^x ln(pi f) df = x (ln(pi x) - 1)
     analytic = x * (math.log(math.pi * x) - 1.0)
-    nodes, weights = gauss_legendre(n_nodes)
+    nodes, weights = gauss_legendre(_LOG_SINE_NODES)
     f = 0.5 * x * (nodes + 1.0)
     smooth = np.log(np.sinc(f))  # np.sinc(f) = sin(pi f)/(pi f)
     return analytic + 0.5 * x * float(np.dot(weights, smooth))

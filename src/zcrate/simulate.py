@@ -74,6 +74,12 @@ class SampledWaveform:
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(len(self))
 
+    def window(self, t_lo: float, t_hi: float) -> "SampledWaveform":
+        """The samples at instants in [t_lo, t_hi], as a view of this one."""
+        i0 = max(int(math.ceil((t_lo - self.t_start) / self.dt)), 0)
+        i1 = min(int(math.floor((t_hi - self.t_start) / self.dt)) + 1, len(self))
+        return SampledWaveform(self.samples[i0:i1], self.dt, self.t_start + i0 * self.dt)
+
     def __len__(self) -> int:
         return int(self.samples.size)
 
@@ -211,7 +217,7 @@ def _noise_spectrum(n: int, m: int, N0: float, W: float, rng: np.random.Generato
 
 
 def gen_bandlimited_noise(
-    n: int, dt: float, N0: float, W: float, rng: np.random.Generator, t_start: float = 0.0
+    n: int, dt: float, N0: float, W: float, rng: np.random.Generator
 ) -> SampledWaveform:
     """Gaussian noise with flat PSD N0/2 on |f| <= W and variance N0 W.
 
@@ -221,10 +227,10 @@ def gen_bandlimited_noise(
     """
     m = _band_bins(n, dt, W)
     if N0 == 0.0:
-        return SampledWaveform(samples=np.zeros(n), dt=dt, t_start=t_start)
+        return SampledWaveform(samples=np.zeros(n), dt=dt)
     X = np.zeros(n // 2 + 1, dtype=np.complex128)
     X[:m] = _noise_spectrum(n, m, N0, W, rng)
-    return SampledWaveform(samples=np.fft.irfft(X, n), dt=dt, t_start=t_start)
+    return SampledWaveform(samples=np.fft.irfft(X, n), dt=dt)
 
 
 def transmit(
@@ -406,12 +412,6 @@ def match_crossings(tx: ZeroCrossingSeq, rx: ZeroCrossingSeq) -> MatchReport:
 # end-to-end chains
 # ---------------------------------------------------------------------------
 
-def _interior_slice(w: SampledWaveform, t_lo: float, t_hi: float) -> slice:
-    i0 = int(math.ceil((t_lo - w.t_start) / w.dt))
-    i1 = int(math.floor((t_hi - w.t_start) / w.dt)) + 1
-    return slice(max(i0, 0), min(i1, len(w)))
-
-
 @dataclass(frozen=True)
 class SimulationRun:
     """One full transmit/receive pass."""
@@ -438,11 +438,9 @@ def run_chain(
     tx = sample_input_sequence(p, K, rng)
     x, xf, r = transmit(tx, p, p.W, p.N0, dt, rng, guard)
 
-    sl = _interior_slice(x, -2.0 * p.beta, tx.times[-1] + 2.0 * p.beta)
-    xt = xf.samples[sl] - x.samples[sl]
-    rx_all = extract_crossings(
-        SampledWaveform(r.samples[sl], dt, r.t_start + sl.start * dt), method="interp"
-    )
+    t_lo, t_hi = -2.0 * p.beta, tx.times[-1] + 2.0 * p.beta
+    xt = xf.window(t_lo, t_hi).samples - x.window(t_lo, t_hi).samples
+    rx_all = extract_crossings(r.window(t_lo, t_hi), method="interp")
     report = match_crossings(tx, rx_all)
     return SimulationRun(
         tx=tx,
@@ -469,13 +467,13 @@ def transition_crossing_census(
     contain exactly one crossing.  rho overrides the SNR of ``params``;
     rho = inf runs the noise-free chain.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    if n_trials < 2:
+        raise ValueError(f"n_trials must be >= 2, got {n_trials}")
     p = params
     if math.isinf(rho):
         p = replace(p, rho=math.inf, N0=0.0, sigma_nhat_sq=0.0)
     elif rho != p.rho:
-        p = derive(ChannelConfig(p.W, p.lam, rho, p.P_hat, p.seed))
+        p = derive(ChannelConfig(p.W, p.lam, rho, p.P_hat))
     dt = p.beta / 24.0
     counts: list[np.ndarray] = []
     collected = 0
@@ -487,7 +485,7 @@ def transition_crossing_census(
     all_counts = np.concatenate(counts)[:n_trials]
     return CensusResult(
         mean=float(all_counts.mean()),
-        var=float(all_counts.var(ddof=1)) if all_counts.size > 1 else 0.0,
+        var=float(all_counts.var(ddof=1)),
         counts=all_counts,
     )
 
@@ -583,10 +581,8 @@ class LpDistortionStats:
     var_ensemble_pooled: float
     kl_nats: float
     hist_edges: np.ndarray
-    hist_counts: np.ndarray
     bin_width: float
     n_time_samples: int
-    n_ensemble: int
 
 
 def lp_distortion_stats(
@@ -603,9 +599,9 @@ def lp_distortion_stats(
     probes three fixed interior instants across independent realizations,
     exactly (:func:`lp_distortion_at`), without synthesizing them.
     """
-    if n_time_samples < 1 or n_ensemble < 1:
+    if n_time_samples < 2 or n_ensemble < 2:
         raise ValueError(
-            f"n_time_samples and n_ensemble must be >= 1, got {n_time_samples}, {n_ensemble}"
+            f"n_time_samples and n_ensemble must be >= 2, got {n_time_samples}, {n_ensemble}"
         )
     p = params
     dt = p.beta / 20.0
@@ -615,8 +611,8 @@ def lp_distortion_stats(
     K = int(math.ceil(n_time_samples * dt / p.T_avg)) + 50
     tx = sample_input_sequence(p, K, rng)
     x, xf, _ = transmit(tx, p, p.W, 0.0, dt, rng, guard)
-    sl = _interior_slice(x, 0.0, tx.times[-1])
-    xt = (xf.samples - x.samples)[sl][:n_time_samples]
+    t_end = tx.times[-1]
+    xt = (xf.window(0.0, t_end).samples - x.window(0.0, t_end).samples)[:n_time_samples]
 
     mean_time = float(xt.mean())
     var_time = float(xt.var())
@@ -653,10 +649,8 @@ def lp_distortion_stats(
         var_ensemble_pooled=float(vals.var()),
         kl_nats=kl,
         hist_edges=hist_edges,
-        hist_counts=hist_counts,
         bin_width=delta,
         n_time_samples=int(xt.size),
-        n_ensemble=n_ensemble,
     )
 
 
@@ -677,8 +671,7 @@ def empirical_psd(
     p = params
     tx = sample_input_sequence(p, K, rng)
     x = synthesize(tx, p, dt, lead=20.0 * p.beta, tail=20.0 * p.beta)
-    sl = _interior_slice(x, 0.0, tx.times[-1])
-    xs = x.samples[sl]
+    xs = x.window(0.0, tx.times[-1]).samples
     fs = 1.0 / dt
     nperseg = min(1 << 13, xs.size // 8)
     from scipy.signal import welch  # imported here: it is slow to import and used only here
@@ -693,12 +686,7 @@ def empirical_psd(
 class DeletionCensus:
     """Deletion/insertion tally for one (W, beta) point of the decoupled study."""
 
-    W: float
-    beta: float
-    lam: float
-    rho: float
     k_tilde: float
-    n_symbols: int
     n_deletions: int
     n_insertions: int
     n_deletions_filter: int  # deletions of the noise-free filtered signal alone
@@ -738,21 +726,11 @@ def deletion_census(
     guard = max(20.0 * beta, 10.0 / W)
     tx = sample_input_sequence(p_sig, K, rng)
     _, xf, r = transmit(tx, p_sig, W, N0, dt, rng, guard)
-    sl = _interior_slice(r, -2.0 * beta, tx.times[-1] + 2.0 * beta)
-    rx = extract_crossings(
-        SampledWaveform(r.samples[sl], dt, r.t_start + sl.start * dt), method="interp"
-    )
-    report = match_crossings(tx, rx)
-    rx_filter = extract_crossings(
-        SampledWaveform(xf.samples[sl], dt, xf.t_start + sl.start * dt), method="interp"
-    )
+    t_lo, t_hi = -2.0 * beta, tx.times[-1] + 2.0 * beta
+    report = match_crossings(tx, extract_crossings(r.window(t_lo, t_hi), method="interp"))
+    rx_filter = extract_crossings(xf.window(t_lo, t_hi), method="interp")
     return DeletionCensus(
-        W=W,
-        beta=beta,
-        lam=lam,
-        rho=rho,
         k_tilde=1.0 / (2.0 * beta * lam),
-        n_symbols=K,
         n_deletions=report.n_deletions,
         n_insertions=report.n_insertions,
         n_deletions_filter=match_crossings(tx, rx_filter).n_deletions,

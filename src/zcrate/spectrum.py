@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .params import DerivedParams
 
@@ -25,9 +24,7 @@ __all__ = [
     "g_mag_sq",
     "correlation_factor",
     "expected_cos",
-    "pdf_L",
     "PsdBounds",
-    "psd_bounds",
     "psd_finite_k",
 ]
 
@@ -101,25 +98,6 @@ def expected_cos(omega: float, n: int, lam: float, beta: float) -> float:
     return r**n * math.cos(n * phase)
 
 
-def pdf_L(l, n: int, lam: float, beta: float):
-    """Density of the sum of n spacings: a shifted Erlang on [n beta, inf)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    l = np.asarray(l, dtype=float)
-    scalar = l.ndim == 0
-    t = np.atleast_1d(l) - n * beta
-    out = np.zeros_like(t)
-    pos = t > 0
-    if np.any(pos):
-        tp = t[pos]
-        out[pos] = np.exp(
-            n * math.log(lam) - lam * tp + (n - 1) * np.log(tp) - gammaln(n)
-        )
-    if n == 1:
-        out[t == 0] = lam  # support endpoint carries the full density for n=1
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class PsdBounds:
     """Evaluator pair for the PSD sandwich; both sides even in omega.
@@ -144,14 +122,6 @@ class PsdBounds:
     def lower(self, omega):
         g, onep2c, scale = self._common(omega)
         return scale * g / onep2c
-
-    def at(self, omega):
-        g, onep2c, scale = self._common(omega)
-        return scale * g / onep2c, scale * onep2c * g
-
-
-def psd_bounds(params: DerivedParams) -> PsdBounds:
-    return PsdBounds(params)
 
 
 def psd_finite_k(omega, params: DerivedParams, K: int = 10**5):

@@ -15,6 +15,7 @@ import pytest
 
 import zcrate.cli
 from zcrate.cli import main
+from zcrate.simulate import deletion_census
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -165,6 +166,10 @@ def test_invalid_grid_exit_code(tmp_path):
     ["--jobs", "-2", "k-opt"],
     ["bounds-sweep", "--k-min", "0"],
     ["deletions", "--dt", "nan"],
+    # a Monte-Carlo variance needs at least two draws
+    ["lp-distortion", "--n-time", "1"],
+    ["lp-distortion", "--n-ensemble", "1"],
+    ["transition-census", "--mc-trials", "1"],
 ])
 def test_bad_value_is_usage_error(tmp_path, capsys, args):
     rc = main(["--out", str(tmp_path), *args])
@@ -201,6 +206,22 @@ def test_deletions_dt_at_the_beta_limit(tmp_path):
                  "--dt", "0.00475", "--K", "50"]) == 0
     rows = read_rows(out / "deletions.csv")
     assert {float(r["beta"]) for r in rows} == {0.095}
+
+
+def test_deletions_filter_column_is_the_census_count(tmp_path):
+    # at 2 beta W = 0.3 the filter alone deletes symbols, so the column is not 0
+    out = tmp_path / "del"
+    assert main(["--out", str(out), "--seed", "3", "deletions", "--rho-db", "15",
+                 "--beta-list", "1", "--ratio-list", "0.3", "--K", "200", "--dt", "5e-3"]) == 0
+    header = open(out / "deletions.csv").readline().strip().split(",")
+    assert header == ["rho_dB", "beta", "W", "two_beta_W", "k_tilde", "n_symbols",
+                      "n_deletions", "n_insertions", "n_deletions_filter"]
+    (row,) = read_rows(out / "deletions.csv")
+    (cell_seed,) = np.random.SeedSequence(3).spawn(1)
+    dc = deletion_census(1.0, 1.0, 0.3 / 2.0, 10.0 ** (15.0 / 10.0), 200, 5e-3,
+                         np.random.default_rng(cell_seed))
+    assert int(row["n_deletions_filter"]) == dc.n_deletions_filter > 0
+    assert int(row["n_deletions"]) == dc.n_deletions
 
 
 def test_cli_import_leaves_slow_scipy_subpackages_out(tmp_path):

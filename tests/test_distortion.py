@@ -140,11 +140,6 @@ class TestDistortionBounds:
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 1.2
 
-    def test_rho_star_diagnostic_brackets_rho(self):
-        p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
-        db = distortion_bounds(p)
-        assert db.rho_star_lo <= db.rho_star_hi < p.rho
-
     def test_empirical_variance_within_bounds(self):
         from zcrate.simulate import lp_distortion_stats
 

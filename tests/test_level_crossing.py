@@ -13,7 +13,6 @@ from zcrate.level_crossing import (
     expected_curve_crossings,
     mean_excursion_duration,
     pdf_shift,
-    pdf_shift_gauss,
     shift_variance_ratio,
     transition_curve,
     variance_curve_crossings,
@@ -44,7 +43,6 @@ class TestShiftDensity:
         sz = distortion_bounds(p).sigma_z_sq_hi
         peak = math.sqrt(math.pi * p.P_hat / (2.0 * sz)) / p.beta
         assert pdf_shift(0.0, p, sz) == pytest.approx(peak, rel=1e-14)
-        assert pdf_shift_gauss(0.0, p, sz) == pytest.approx(peak, rel=1e-14)
 
     def test_symmetry_and_support(self):
         p = params_at(1.0, 10.0)
@@ -52,16 +50,6 @@ class TestShiftDensity:
         s = np.linspace(0.0, 0.6 * p.beta, 50)
         assert np.allclose(pdf_shift(s, p, sz), pdf_shift(-s, p, sz))
         assert pdf_shift(0.51 * p.beta, p, sz) == 0.0
-
-    def test_gauss_density_matches_sigma_S(self):
-        from zcrate.bounds import sigma_S_sq
-
-        p = params_at(1.0, 10.0)
-        sz = distortion_bounds(p).sigma_z_sq_hi
-        var = sigma_S_sq(p, sz)
-        s = np.linspace(-0.2, 0.2, 9)
-        ref = np.exp(-(s**2) / (2 * var)) / math.sqrt(2 * math.pi * var)
-        assert np.allclose(pdf_shift_gauss(s, p, sz), ref, rtol=1e-12)
 
     def test_variance_ratio_profile(self):
         """Exact-vs-Gaussian variance ratio across SNR.

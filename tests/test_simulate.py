@@ -588,6 +588,13 @@ class TestCensus:
         cen = transition_crossing_census(p, 1.0, 2000, np.random.default_rng(16))
         assert abs(cen.mean - 1.0) > 0.05
 
+    @pytest.mark.parametrize("n_trials", [1, 0])
+    def test_rejects_fewer_than_two_trials(self, n_trials):
+        # one count has no sample variance
+        with pytest.raises(ValueError, match="must be >= 2"):
+            transition_crossing_census(params_at(1.0, 10.0), 10.0, n_trials,
+                                       np.random.default_rng(0))
+
 
 class TestLpDistortionStats:
     def test_time_vs_ensemble_and_kl(self):
@@ -768,9 +775,10 @@ class TestLpDistortionEnsemble:
         assert st.var_ensemble == pytest.approx(vals.var(axis=1), rel=1e-12)
         assert st.var_ensemble_pooled == pytest.approx(vals.var(), rel=1e-12)
 
-    @pytest.mark.parametrize("n_time, n_ensemble", [(0, 10), (2000, 0), (2000, -3)])
+    @pytest.mark.parametrize("n_time, n_ensemble",
+                             [(0, 10), (2000, 0), (2000, -3), (1, 10), (2000, 1)])
     def test_rejects_empty_legs(self, n_time, n_ensemble):
-        with pytest.raises(ValueError, match="must be >= 1"):
+        with pytest.raises(ValueError, match="must be >= 2"):
             lp_distortion_stats(params_at(1.0, 10.0), n_time, n_ensemble,
                                 np.random.default_rng(0))
 

@@ -9,11 +9,10 @@ from scipy.integrate import quad
 from zcrate.params import ChannelConfig, derive
 from zcrate.spectrum import (
     PoleError,
+    PsdBounds,
     correlation_factor,
     expected_cos,
     g_mag_sq,
-    pdf_L,
-    psd_bounds,
     psd_finite_k,
 )
 
@@ -120,36 +119,15 @@ class TestExpectedCos:
         assert expected_cos(omega, n, lam, beta) == pytest.approx(mc, abs=3.0 * se)
 
 
-class TestPdfL:
-    def test_reduces_to_shifted_exponential(self):
-        lam, beta = 1.4, 0.3
-        l = np.linspace(0.0, 5.0, 200)
-        expected = np.where(l >= beta, lam * np.exp(-lam * np.maximum(l - beta, 0.0)), 0.0)
-        assert np.allclose(pdf_L(l, 1, lam, beta), expected)
-
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_normalization(self, n):
-        lam, beta = 0.8, 0.5
-        total, _ = quad(lambda l: pdf_L(l, n, lam, beta), n * beta, np.inf,
-                        epsabs=1e-12, limit=200)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_mean(self):
-        n, lam, beta = 4, 1.1, 0.7
-        mean, _ = quad(lambda l: l * pdf_L(l, n, lam, beta), n * beta, np.inf,
-                       epsabs=1e-12, limit=200)
-        assert mean == pytest.approx(n * (1.0 / lam + beta), rel=1e-9)
-
-
 class TestPsdBounds:
     def setup_method(self):
         self.params = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
-        self.pb = psd_bounds(self.params)
+        self.pb = PsdBounds(self.params)
 
     def test_ratio_is_correlation_squared(self):
         rng = np.random.default_rng(6)
         w = rng.uniform(0.05, 30.0, size=40)
-        lo, hi = self.pb.at(w)
+        lo, hi = self.pb.lower(w), self.pb.upper(w)
         onep2c = 1.0 + 2.0 * correlation_factor(w, self.params.lam)
         assert np.allclose(hi / lo, onep2c**2, rtol=1e-12)
         assert np.all(lo <= hi)
@@ -163,7 +141,9 @@ class TestPsdBounds:
 
     def test_pole_propagates(self):
         with pytest.raises(PoleError):
-            self.pb.at(0.0)
+            self.pb.lower(0.0)
+        with pytest.raises(PoleError):
+            self.pb.upper(0.0)
 
     def test_tail_integrable_and_consistent_with_variance_bound(self):
         # (1/pi) int_2piW^inf upper <= closed-form upper distortion variance
@@ -182,7 +162,7 @@ class TestPsdBounds:
         vals = []
         for k in [0.3, 0.7, 1.5, 3.0]:
             p = derive(ChannelConfig(W=W, lam=W / k, rho=10.0))
-            vals.append(psd_bounds(p).upper(2.0 * math.pi * W))
+            vals.append(PsdBounds(p).upper(2.0 * math.pi * W))
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -220,7 +200,7 @@ class TestTruncatedSum:
 
     def test_finite_k_within_bounds(self):
         p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
-        pb = psd_bounds(p)
+        pb = PsdBounds(p)
         w = 2.0 * math.pi * np.linspace(0.05, 3.0, 60)
         fk = psd_finite_k(w, p, 10**5)
         assert np.all(fk <= pb.upper(w) * (1.0 + 1e-9))
@@ -234,7 +214,7 @@ class TestEmpiricalSandwich:
 
         p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
         emp = empirical_psd(p, 10**5, p.beta / 20.0, np.random.default_rng(11))
-        pb = psd_bounds(p)
+        pb = PsdBounds(p)
         mask = (emp.f >= 0.1 * p.W) & (emp.f <= 2.5 * p.W)
         f, s = emp.f[mask], emp.psd[mask]
         edges = np.linspace(f[0], f[-1], 25)
