@@ -39,7 +39,6 @@ from .bounds import bound_report, delta_offset, k_opt, sigma_S_sq
 from .distortion import c0_constant, c2_constant, distortion_bounds
 from .level_crossing import (
     AcfModel,
-    expected_curve_crossings,
     mean_excursion_duration,
     shift_variance_ratio,
     transition_curve,
@@ -54,7 +53,7 @@ from .simulate import (
     run_chain,
     transition_crossing_census,
 )
-from .spectrum import PsdBounds, psd_finite_k
+from .spectrum import PsdBounds, g_mag_sq, psd_finite_k
 
 LN2 = math.log(2.0)
 
@@ -288,8 +287,8 @@ def _census_cell(cfg: dict, grid: dict, seed, k: float, rho_db: float) -> tuple:
     p = _params(cfg, k, rho_db)
     psi, psip, T = transition_curve(p)
     acf = AcfModel.total(p, "upper")
-    row = (rho_db, k, expected_curve_crossings(psi, psip, T, acf),
-           variance_curve_crossings(psi, psip, T, acf).variance)
+    crossings = variance_curve_crossings(psi, psip, T, acf)
+    row = (rho_db, k, crossings.expectation, crossings.variance)
     if seed is None:
         return row
     cen = transition_crossing_census(p, p.rho, grid["mc_trials"], np.random.default_rng(seed))
@@ -470,12 +469,9 @@ def run_constants(spec: ExperimentSpec, out: Path) -> list[str]:
     c0 = c0_constant()
     c2 = c2_constant()
 
-    def w_shape(u):
-        from .spectrum import g_mag_sq
-        return g_mag_sq(u, 1.0)
-
     c0_oracle = 2.0 * math.pi * (
-        quad_checked(w_shape, math.pi, 4.0 * math.pi, label="c0 head", epsabs=1e-13)
+        quad_checked(lambda u: g_mag_sq(u, 1.0), math.pi, 4.0 * math.pi, label="c0 head",
+                     epsabs=1e-13)
         + quad_checked(lambda u: 2.0 * math.pi**4 / (u**2 * (math.pi**2 - u**2) ** 2),
                        4.0 * math.pi, np.inf, label="c0 tail", epsabs=1e-13)
         + quad_checked(lambda u: 2.0 * math.pi**4 / (u**2 * (math.pi**2 - u**2) ** 2),
@@ -483,7 +479,7 @@ def run_constants(spec: ExperimentSpec, out: Path) -> list[str]:
                        weight="cos", wvar=1.0)
     )
     c2_oracle = (2.0 / math.pi) * (
-        quad_checked(lambda u: u**2 * w_shape(u), math.pi, 4.0 * math.pi,
+        quad_checked(lambda u: u**2 * g_mag_sq(u, 1.0), math.pi, 4.0 * math.pi,
                      label="c2 head", epsabs=1e-13)
         + quad_checked(lambda u: 2.0 * math.pi**4 / (math.pi**2 - u**2) ** 2,
                        4.0 * math.pi, np.inf, label="c2 tail", epsabs=1e-13)

@@ -76,11 +76,6 @@ def c1_of_k(k: float) -> float:
     return 1.0 / (math.sqrt(1.0 + 4.0 * math.pi**2 * k**2) - 1.0)
 
 
-def _w_shape(u):
-    """Parameter-free pulse-spectrum shape w(u) = |G(u/beta)|^2 / beta^2."""
-    return g_mag_sq(u, 1.0)
-
-
 # Distinct (m, r, kind) arguments kept by the moment cache.  A grid point of
 # variance_curve_crossings asks for 146 of them, the same ones at every point.
 _ACF_CACHE_SIZE = 4096
@@ -110,13 +105,14 @@ _PARTIAL_FRACTIONS = {
 
 @lru_cache(maxsize=8)
 def _head_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u on [pi, 4 pi] and weights with w(u) folded in, for ``panels``
+    """Nodes u on [pi, 4 pi] and weights with the pulse-spectrum shape
+    w(u) = |G(u/beta)|^2 / beta^2 = g_mag_sq(u, 1) folded in, for ``panels``
     Gauss-Legendre panels of _HEAD_NODES nodes each."""
     x, wt = gauss_legendre(_HEAD_NODES)
     half = 0.5 * (_HEAD_END - math.pi) / panels
     mid = math.pi + half * (2.0 * np.arange(panels) + 1.0)
     u = (mid[:, None] + half * x).ravel()
-    return u, np.tile(half * wt, panels) * _w_shape(u)
+    return u, np.tile(half * wt, panels) * g_mag_sq(u, 1.0)
 
 
 def _tail(m: int, w: float, kind: str) -> float:

@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import erf, erfc
 
+from .bounds import sigma_S_sq
 from .distortion import acf_tail_moment, c1_of_k
 from .params import DerivedParams
 from .quadrature import gauss_legendre
@@ -92,8 +93,7 @@ def shift_variance_ratio(params: DerivedParams, sigma_z_sq: float) -> float:
     mass = half * float(np.dot(weights, dens))
     second = half * float(np.dot(weights, s**2 * dens))
     var_exact = second / mass
-    var_gauss = sigma_z_sq / (4.0 * math.pi**2 * p.W**2 * p.P_hat)
-    return var_exact / var_gauss
+    return var_exact / sigma_S_sq(p, sigma_z_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,7 @@ def derive(config: ChannelConfig) -> DerivedParams:
 
 @dataclass(frozen=True)
 class ZeroCrossingSeq:
-    """Ordered zero-crossing instants and the spacings between them.
-
-    ``t0`` acts as the (virtual) crossing preceding the block, so for
-    sequences built from spacings ``times = t0 + cumsum(spacings)`` and
-    ``spacings[0] == times[0] - t0``.  For sequences extracted from a
-    waveform there is no origin crossing; there ``t0 == times[0]`` and
-    ``spacings`` holds the ``len(times) - 1`` consecutive differences.
+    """Ordered zero-crossing instants and the polarity of the first one.
 
     ``first_rising`` records the slope of the first crossing (True for a
     -to-+ transition); crossings of a continuous signal alternate, so the
@@ -113,42 +107,21 @@ class ZeroCrossingSeq:
     """
 
     times: np.ndarray
-    spacings: np.ndarray
-    t0: float = 0.0
     first_rising: bool | None = None
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
-        spacings = np.asarray(self.spacings, dtype=float)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "spacings", spacings)
-        if spacings.size and np.any(spacings <= 0):
-            raise ValueError("spacings must be positive")
-        if times.size and np.any(np.diff(times) <= 0):
+        if np.any(np.diff(times) <= 0):
             raise ValueError("crossing times must be strictly increasing")
-
-    @classmethod
-    def from_spacings(
-        cls, spacings: np.ndarray, t0: float = 0.0, first_rising: bool | None = False
-    ) -> "ZeroCrossingSeq":
-        spacings = np.asarray(spacings, dtype=float)
-        times = t0 + np.cumsum(spacings)
-        return cls(times=times, spacings=spacings, t0=t0, first_rising=first_rising)
-
-    @classmethod
-    def from_times(
-        cls, times: np.ndarray, first_rising: bool | None = None
-    ) -> "ZeroCrossingSeq":
-        times = np.asarray(times, dtype=float)
-        t0 = float(times[0]) if times.size else 0.0
-        return cls(times=times, spacings=np.diff(times), t0=t0, first_rising=first_rising)
 
     def __len__(self) -> int:
         return int(self.times.size)
 
     def polarity(self) -> np.ndarray:
-        """+1 for rising crossings, -1 for falling, alternating from the first."""
-        if self.first_rising is None:
+        """+1 for rising crossings, -1 for falling, alternating from the first
+        (empty for an empty sequence)."""
+        if self.first_rising is None and len(self):
             raise ValueError("sequence carries no polarity information")
         first = 1 if self.first_rising else -1
         signs = np.empty(len(self), dtype=int)
@@ -167,8 +140,7 @@ def sample_input_sequence(
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    spacings = _draw_spacings(params, K, rng)
-    return ZeroCrossingSeq.from_spacings(spacings, t0=0.0, first_rising=False)
+    return ZeroCrossingSeq(np.cumsum(_draw_spacings(params, K, rng)), first_rising=False)
 
 
 def _draw_spacings(

@@ -268,25 +268,20 @@ def quantize(w: SampledWaveform) -> SampledWaveform:
     )
 
 
-def extract_crossings(w: SampledWaveform, method: str) -> ZeroCrossingSeq:
-    """Zero-crossing times of a sampled signal.
+def extract_crossings(w: SampledWaveform) -> ZeroCrossingSeq:
+    """Zero-crossing times of a sampled signal, by linear interpolation
+    between the samples that bracket each sign change.
 
-    ``method="interp"`` (real-valued input): linear interpolation between
-    the bracketing samples.  ``method="midpoint"`` (two-level, quantized
-    input): midpoint of the sign change, which is all the information the
-    quantizer retains on the grid.
+    On a 1-bit waveform from :func:`quantize` the interpolated crossing is
+    the midpoint of the sign change, exactly: all the information the
+    quantizer keeps on the grid.  ``extract_crossings(quantize(w))`` is the
+    1-bit receiver.
     """
     x = w.samples
     pos = x >= 0.0
     idx = np.nonzero(pos[:-1] != pos[1:])[0]
-    if method == "midpoint":
-        frac = np.full(idx.shape, 0.5)
-    elif method == "interp":
-        x0 = x[idx]
-        x1 = x[idx + 1]
-        frac = x0 / (x0 - x1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    x0 = x[idx]
+    frac = x0 / (x0 - x[idx + 1])
     times = w.t_start + (idx + frac) * w.dt
     # a sample of exactly 0.0 between two negative samples is two sign changes
     # that interpolate to one instant; dropping such a pair keeps the
@@ -297,7 +292,7 @@ def extract_crossings(w: SampledWaveform, method: str) -> ZeroCrossingSeq:
         keep[tied] = keep[tied + 1] = False
         idx, times = idx[keep], times[keep]
     first_rising = bool(not pos[idx[0]]) if idx.size else None
-    return ZeroCrossingSeq.from_times(times, first_rising=first_rising)
+    return ZeroCrossingSeq(times, first_rising=first_rising)
 
 
 def slope_at(w: SampledWaveform, times: np.ndarray) -> np.ndarray:
@@ -331,7 +326,7 @@ class MatchReport:
     shift_samples: np.ndarray
     per_symbol_counts: np.ndarray
     n_extra_crossings: int
-    n_unassigned_rx: int = 0
+    n_unassigned_rx: int
 
 
 def match_crossings(tx: ZeroCrossingSeq, rx: ZeroCrossingSeq) -> MatchReport:
@@ -347,17 +342,6 @@ def match_crossings(tx: ZeroCrossingSeq, rx: ZeroCrossingSeq) -> MatchReport:
     counts = np.zeros(K, dtype=int)
     best_off = np.full(K, np.nan)
     unassigned = 0
-
-    if len(rx) == 0:
-        pairs = K // 2
-        return MatchReport(
-            n_insertions=0,
-            n_deletions=pairs,
-            shift_samples=np.empty(0),
-            per_symbol_counts=counts,
-            n_extra_crossings=0,
-        )
-
     pol_tx = tx.polarity()
     pol_rx = rx.polarity()
     targets, offsets = [], []
@@ -440,7 +424,7 @@ def run_chain(
 
     t_lo, t_hi = -2.0 * p.beta, tx.times[-1] + 2.0 * p.beta
     xt = xf.window(t_lo, t_hi).samples - x.window(t_lo, t_hi).samples
-    rx_all = extract_crossings(r.window(t_lo, t_hi), method="interp")
+    rx_all = extract_crossings(r.window(t_lo, t_hi))
     report = match_crossings(tx, rx_all)
     return SimulationRun(
         tx=tx,
@@ -494,7 +478,7 @@ def _census_chunk(p: DerivedParams, K: int, dt: float, rng: np.random.Generator)
     guard = 40.0 * p.beta
     tx = sample_input_sequence(p, K, rng)
     _, _, r = transmit(tx, p, p.W, p.N0, dt, rng, guard)
-    rx = extract_crossings(r, method="interp")
+    rx = extract_crossings(r)
     # drop edge symbols; count crossings inside each transition window
     T = tx.times[2:-2]
     lo = np.searchsorted(rx.times, T - p.beta / 2.0)
@@ -709,8 +693,10 @@ def deletion_census(
     role of k.  SNR is defined against the filter band: N0 = P/(rho W).
 
     ``n_deletions`` counts what the receiver loses, to the filter and to the
-    noise together; ``n_deletions_filter`` matches the noise-free filtered
-    signal against the input and so counts the filter's share alone.
+    noise together; ``n_deletions_filter`` counts what the noise-free
+    filtered signal loses, matched against the input on its own.  The two
+    come from separate matchings, so the second is not a share of the first
+    and can exceed it.
     """
     if min(lam, beta, W, rho, P_hat) <= 0:
         raise ValueError("lam, beta, W, rho, P_hat must all be positive")
@@ -727,8 +713,8 @@ def deletion_census(
     tx = sample_input_sequence(p_sig, K, rng)
     _, xf, r = transmit(tx, p_sig, W, N0, dt, rng, guard)
     t_lo, t_hi = -2.0 * beta, tx.times[-1] + 2.0 * beta
-    report = match_crossings(tx, extract_crossings(r.window(t_lo, t_hi), method="interp"))
-    rx_filter = extract_crossings(xf.window(t_lo, t_hi), method="interp")
+    report = match_crossings(tx, extract_crossings(r.window(t_lo, t_hi)))
+    rx_filter = extract_crossings(xf.window(t_lo, t_hi))
     return DeletionCensus(
         k_tilde=1.0 / (2.0 * beta * lam),
         n_deletions=report.n_deletions,

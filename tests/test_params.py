@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from zcrate.params import (
     ChannelConfig,
@@ -62,7 +64,7 @@ def test_sample_min_spacing_and_reproducibility():
     p = derive(ChannelConfig(W=1.0, lam=2.0, rho=10.0))
     seq1 = sample_input_sequence(p, 5000, np.random.default_rng(42))
     seq2 = sample_input_sequence(p, 5000, np.random.default_rng(42))
-    assert seq1.spacings.min() >= p.beta
+    assert np.diff(seq1.times, prepend=0.0).min() >= p.beta
     assert np.array_equal(seq1.times, seq2.times)
     assert np.all(np.diff(seq1.times) > 0)
     assert not seq1.first_rising  # mapper starts on the + level
@@ -73,8 +75,9 @@ def test_sample_moments_match_shifted_exponential():
     p = derive(ChannelConfig(W=0.5, lam=1.0, rho=10.0))
     K = 10**6
     seq = sample_input_sequence(p, K, np.random.default_rng(7))
-    assert seq.spacings.mean() == pytest.approx(2.0, abs=0.01)
-    assert seq.spacings.var() == pytest.approx(1.0, abs=0.02)
+    spacings = np.diff(seq.times, prepend=0.0)
+    assert spacings.mean() == pytest.approx(2.0, abs=0.01)
+    assert spacings.var() == pytest.approx(1.0, abs=0.02)
 
 
 def test_sample_moments_clt_band():
@@ -85,7 +88,7 @@ def test_sample_moments_clt_band():
         K = 10**6
         seq = sample_input_sequence(p, K, rng)
         band = 3.0 * math.sqrt(p.sigma_A_sq / K)
-        assert abs(seq.spacings.mean() - p.T_avg) <= band
+        assert abs(np.diff(seq.times, prepend=0.0).mean() - p.T_avg) <= band
 
 
 def test_awgn_capacity_values():
@@ -97,14 +100,37 @@ def test_awgn_capacity_values():
 
 
 def test_zero_crossing_seq_invariants():
-    with pytest.raises(ValueError, match="increasing|positive"):
-        ZeroCrossingSeq.from_times(np.array([0.0, 1.0, 1.0]))
-    with pytest.raises(ValueError, match="positive"):
-        ZeroCrossingSeq.from_spacings(np.array([1.0, -0.5]))
-    seq = ZeroCrossingSeq.from_spacings(np.array([1.0, 2.0, 0.5]), t0=1.0, first_rising=True)
-    assert np.allclose(seq.times, [2.0, 4.0, 4.5])
+    with pytest.raises(ValueError, match="increasing"):
+        ZeroCrossingSeq(np.array([0.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="increasing"):
+        ZeroCrossingSeq(np.array([1.0, 0.5]))
+    seq = ZeroCrossingSeq(np.array([2.0, 4.0, 4.5]), first_rising=True)
     assert list(seq.polarity()) == [1, -1, 1]
-    ext = ZeroCrossingSeq.from_times(np.array([0.5, 1.5, 3.0]))
-    assert np.allclose(ext.spacings, [1.0, 1.5])
+    ext = ZeroCrossingSeq(np.array([0.5, 1.5, 3.0]))
     with pytest.raises(ValueError, match="polarity"):
         ext.polarity()
+
+
+@given(st.floats(-1e3, 1e3), st.lists(st.floats(1e-3, 10.0), max_size=40),
+       st.sampled_from([True, False, None]), st.integers(0, 38), st.floats(0.0, 10.0))
+@example(0.0, [], None, 0, 0.0)
+def test_zero_crossing_seq_properties(start, steps, first_rising, at, back):
+    times = start + np.cumsum(steps)
+    seq = ZeroCrossingSeq(times, first_rising=first_rising)
+    assert len(seq) == len(steps)
+    if steps and first_rising is None:
+        with pytest.raises(ValueError, match="polarity"):
+            seq.polarity()
+    else:
+        pol = seq.polarity()
+        assert pol.size == len(steps)
+        if steps:
+            assert pol[0] == (1 if first_rising else -1)
+            assert np.all(pol[1:] == -pol[:-1])
+    if len(steps) >= 2:
+        # any non-increasing step is refused
+        i = at % (len(steps) - 1)
+        bad = times.copy()
+        bad[i + 1] = bad[i] - back
+        with pytest.raises(ValueError, match="increasing"):
+            ZeroCrossingSeq(bad, first_rising=first_rising)

@@ -118,20 +118,50 @@ def tx_rx_pairs(draw):
         a = 0.125 * draw(st.integers(0, 8 * int(tx_t[-1]) + 8))
         rx_t += [a, a + 0.125 * draw(st.integers(1, 4))]
     rx_t = np.unique(rx_t)
-    tx = ZeroCrossingSeq.from_times(tx_t, first_rising=draw(st.booleans()))
-    rx = ZeroCrossingSeq.from_times(
-        rx_t, first_rising=draw(st.booleans()) if rx_t.size else None
-    )
+    tx = ZeroCrossingSeq(tx_t, first_rising=draw(st.booleans()))
+    rx = ZeroCrossingSeq(rx_t, first_rising=draw(st.booleans()) if rx_t.size else None)
     return tx, rx
+
+
+@st.composite
+def damaged_pairs(draw):
+    """tx with spacings in [1, 3]; rx is tx with disjoint adjacent pairs
+    deleted, every other crossing jittered by less than a quarter of the
+    minimum spacing, and insertion pairs placed mid-plateau, with no deleted
+    crossing within two of the plateau's ends.  Returns (tx, rx, deleted
+    indices, number of inserted pairs, jitter of the kept crossings)."""
+    spacings = np.array(draw(st.lists(st.floats(1.0, 3.0), min_size=1, max_size=30)))
+    K = spacings.size
+    tx_t = np.cumsum(spacings)
+    jitter = 0.24 * spacings.min() * np.array(
+        draw(st.lists(st.floats(-1.0, 1.0), min_size=K, max_size=K)))
+    deleted: set[int] = set()
+    for j in sorted(draw(st.lists(st.integers(0, max(K - 2, 0)), max_size=5))):
+        if j + 1 < K and not {j, j + 1} & deleted:
+            deleted |= {j, j + 1}
+    kept = np.array([i for i in range(K) if i not in deleted], dtype=int)
+    rx_t = list(tx_t[kept] + jitter[kept])
+    plateaus = {j for j in draw(st.lists(st.integers(0, max(K - 2, 0)), max_size=4))
+                if j + 1 < K and not set(range(j - 1, j + 3)) & deleted}
+    for j in plateaus:
+        u = draw(st.floats(0.3, 0.45))
+        v = u + draw(st.floats(0.1, 0.25))
+        rx_t += [tx_t[j] + u * spacings[j + 1], tx_t[j] + v * spacings[j + 1]]
+    first_rising = draw(st.booleans())
+    tx = ZeroCrossingSeq(tx_t, first_rising=first_rising)
+    # pairs keep the alternation, so rx starts with the polarity of its first kept crossing
+    rx_first = None if kept.size == 0 else first_rising == (kept[0] % 2 == 0)
+    rx = ZeroCrossingSeq(np.sort(rx_t), first_rising=rx_first)
+    return tx, rx, sorted(deleted), len(plateaus), jitter[kept]
 
 
 class TestSynthesize:
     def test_single_symbol_crossing_at_T1(self):
         p = params_at(1.0, 10.0)
         dt = p.beta / 40.0
-        tx = ZeroCrossingSeq.from_spacings(np.array([1.3]), first_rising=False)
+        tx = ZeroCrossingSeq(np.array([1.3]), first_rising=False)
         x = synthesize(tx, p, dt)
-        rx = extract_crossings(x, "interp")
+        rx = extract_crossings(x)
         assert len(rx) == 1
         assert rx.times[0] == pytest.approx(1.3, abs=dt / 2.0)
         assert not rx.first_rising
@@ -213,7 +243,7 @@ class TestSynthesize:
 
     def test_matches_loop_single_transition(self):
         p = params_at(1.0, 10.0)
-        tx = ZeroCrossingSeq.from_spacings(np.array([0.83]), first_rising=False)
+        tx = ZeroCrossingSeq(np.array([0.83]), first_rising=False)
         x = synthesize(tx, p, p.beta / 24.0)
         assert np.array_equal(x.samples, synthesize_loop(tx.times, p, x.t_start, x.dt, len(x)))
 
@@ -223,9 +253,7 @@ class TestSynthesize:
         T_k + beta/2 is a grid point written by both transitions.  Spacing
         0.6 beta overlaps them by many samples; the later one must win."""
         p = params_at(1.0, 10.0)  # beta = 0.5
-        tx = ZeroCrossingSeq.from_spacings(
-            np.full(9, spacing * p.beta), t0=0.5, first_rising=False
-        )
+        tx = ZeroCrossingSeq(0.5 + np.cumsum(np.full(9, spacing * p.beta)), first_rising=False)
         x = synthesize(tx, p, 1.0 / 64.0, lead=10.0)
         edges = tx.times[:-1] + p.beta / 2.0
         if spacing == 1.0:
@@ -349,11 +377,27 @@ class TestQuantizeExtract:
         w = SampledWaveform(np.array([0.3, -0.3, 0.0]), 1.0)
         assert list(quantize(w).samples) == [1.0, -1.0, 1.0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.3, 4.0), st.floats(0.2, 5.0), st.integers(20, 80),
+           st.integers(0, 2**32 - 1), st.sampled_from(["x", "xf", "r"]))
+    def test_quantized_crossings_are_sign_change_midpoints(self, k, W, per_beta, seed, which):
+        # on a +-1 waveform the interpolated crossing is the midpoint, exactly
+        p = params_at(k, 10.0, W=W)
+        rng = np.random.default_rng(seed)
+        tx = sample_input_sequence(p, 30, rng)
+        x, xf, r = transmit(tx, p, p.W, p.N0, p.beta / per_beta, rng, 40.0 * p.beta)
+        w = {"x": x, "xf": xf, "r": r}[which]
+        pos = w.samples >= 0.0
+        i = np.nonzero(pos[:-1] != pos[1:])[0]
+        rx = extract_crossings(quantize(w))
+        assert np.array_equal(rx.times, w.t_start + (i + 0.5) * w.dt)
+        assert rx.first_rising == (not pos[i[0]])
+
     def test_sine_crossings(self):
         dt = 1e-3
         t = np.arange(0.0, 1.2, dt)
         w = SampledWaveform(np.sin(2.0 * math.pi * t), dt)
-        rx = extract_crossings(w, "interp")
+        rx = extract_crossings(w)
         assert np.allclose(rx.times, [0.5, 1.0], atol=1e-6) or np.allclose(
             rx.times[:2], [0.5, 1.0], atol=1e-6
         )
@@ -364,7 +408,7 @@ class TestQuantizeExtract:
         dt = p.beta / 24.0
         tx = sample_input_sequence(p, 100, np.random.default_rng(8))
         x = synthesize(tx, p, dt)
-        rx = extract_crossings(x, "interp")  # unfiltered: crossings sit exactly on T_k
+        rx = extract_crossings(x)  # unfiltered: crossings sit exactly on T_k
         assert len(rx) == len(tx)
         assert np.max(np.abs(rx.times - tx.times)) < dt
 
@@ -373,31 +417,31 @@ class TestQuantizeExtract:
         dt = p.beta / 24.0
         tx = sample_input_sequence(p, 50, np.random.default_rng(9))
         q = quantize(synthesize(tx, p, dt))
-        rx = extract_crossings(q, "midpoint")
+        rx = extract_crossings(q)
         assert len(rx) == len(tx)
         assert np.max(np.abs(rx.times - tx.times)) <= dt
 
     def test_exact_zero_between_negative_samples_is_no_crossing(self):
-        rx = extract_crossings(SampledWaveform(np.array([-1.0, 0.0, -1.0]), 1.0), "interp")
+        rx = extract_crossings(SampledWaveform(np.array([-1.0, 0.0, -1.0]), 1.0))
         assert len(rx) == 0
-        rx = extract_crossings(SampledWaveform(np.array([1.0, -1.0, 0.0, -1.0, 2.0]), 0.5), "interp")
+        rx = extract_crossings(SampledWaveform(np.array([1.0, -1.0, 0.0, -1.0, 2.0]), 0.5))
         assert np.allclose(rx.times, [0.25, 1.5 + 1.0 / 6.0]) and rx.first_rising is False
 
     def test_injected_exact_zeros_in_noise(self):
         # each exact zero flanked by negative samples removes one tied pair
         # of crossings and leaves every other crossing where it was
         x = np.random.default_rng(21).standard_normal(4000)
-        clean = extract_crossings(SampledWaveform(x, 0.1), "interp")
+        clean = extract_crossings(SampledWaveform(x, 0.1))
         dips = []
         for i in range(1, len(x) - 1):
             if x[i - 1] < 0 and x[i] < 0 and x[i + 1] < 0 and (not dips or i > dips[-1] + 1):
                 dips.append(i)
         x[dips[:25]] = 0.0
-        rx = extract_crossings(SampledWaveform(x, 0.1), "interp")
+        rx = extract_crossings(SampledWaveform(x, 0.1))
         assert np.all(np.diff(rx.times) > 0)
         assert rx.first_rising == clean.first_rising
         np.testing.assert_array_equal(rx.times, clean.times)
-        mid = extract_crossings(SampledWaveform(x, 0.1), "midpoint")
+        mid = extract_crossings(quantize(SampledWaveform(x, 0.1)))
         assert len(mid) == len(clean) + 50
 
     @settings(max_examples=60, deadline=None)
@@ -405,20 +449,20 @@ class TestQuantizeExtract:
            st.integers(0, 2**32 - 1))
     def test_midpoint_on_quantized_within_half_sample_of_interp(self, k, W, per_beta, seed):
         # beta = 1/(2W), lambda = W/k, dt = beta/per_beta <= beta/20.  The
-        # quantizer keeps the sign, so both methods see the same sign changes;
-        # the midpoint sits at most dt/2 from the interpolated crossing
+        # quantizer keeps the sign, so both waveforms have the same sign
+        # changes; the midpoint sits at most dt/2 from the interpolated crossing
         p = params_at(k, 10.0, W=W)
         dt = p.beta / per_beta
         x = synthesize(sample_input_sequence(p, 30, np.random.default_rng(seed)), p, dt)
-        fine = extract_crossings(x, "interp")
-        coarse = extract_crossings(quantize(x), "midpoint")
+        fine = extract_crossings(x)
+        coarse = extract_crossings(quantize(x))
         assert len(coarse) == len(fine) and coarse.first_rising == fine.first_rising
         assert np.all(np.abs(coarse.times - fine.times) <= 0.5 * dt * (1.0 + 1e-9))
 
 
 class TestMatch:
     def _seq(self, times, first_rising=False):
-        return ZeroCrossingSeq.from_times(np.asarray(times, dtype=float), first_rising)
+        return ZeroCrossingSeq(np.asarray(times, dtype=float), first_rising)
 
     def test_identity(self):
         p = params_at(1.0, 10.0)
@@ -450,17 +494,17 @@ class TestMatch:
 
     def test_empty_rx(self):
         tx = self._seq([1.0, 2.0, 3.0, 4.0])
-        rx = ZeroCrossingSeq.from_times(np.array([]), first_rising=None)
+        rx = ZeroCrossingSeq(np.array([]))
         rep = match_crossings(tx, rx)
         assert rep.n_deletions == 2
         assert rep.shift_samples.size == 0
 
     @settings(max_examples=400, deadline=None)
     @given(tx_rx_pairs())
-    @example((ZeroCrossingSeq.from_times(np.array([1.0]), first_rising=True),
-              ZeroCrossingSeq.from_times(np.array([0.5, 1.0, 1.5]), first_rising=False)))
-    @example((ZeroCrossingSeq.from_times(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), first_rising=False),
-              ZeroCrossingSeq.from_times(np.array([0.75, 1.25, 2.0]), first_rising=False)))
+    @example((ZeroCrossingSeq(np.array([1.0]), first_rising=True),
+              ZeroCrossingSeq(np.array([0.5, 1.0, 1.5]), first_rising=False)))
+    @example((ZeroCrossingSeq(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), first_rising=False),
+              ZeroCrossingSeq(np.array([0.75, 1.25, 2.0]), first_rising=False)))
     def test_matches_reference_loops(self, pair):
         tx, rx = pair
         rep = match_crossings(tx, rx)
@@ -471,6 +515,18 @@ class TestMatch:
         assert np.array_equal(rep.per_symbol_counts, counts)
         assert rep.n_extra_crossings == extras
         assert rep.n_unassigned_rx == unassigned
+
+    @settings(max_examples=300, deadline=None)
+    @given(damaged_pairs())
+    def test_recovers_injected_damage(self, case):
+        tx, rx, deleted, inserted, jitter = case
+        rep = match_crossings(tx, rx)
+        assert rep.n_deletions == len(deleted) // 2
+        assert rep.n_insertions == inserted
+        assert rep.n_extra_crossings == 2 * inserted
+        assert rep.n_unassigned_rx == 0
+        assert np.flatnonzero(rep.per_symbol_counts == 0).tolist() == deleted
+        assert np.allclose(rep.shift_samples, jitter, rtol=0.0, atol=1e-12)
 
     def test_deterministic(self):
         # identical seeds give a bit-identical report, field by field
@@ -497,9 +553,9 @@ class TestEndToEnd:
             p = params_at(k, 10.0)
             dt = p.beta / 20.0
             tx = sample_input_sequence(p, 400, np.random.default_rng(11))
-            rx = extract_crossings(quantize(ideal_lp(synthesize(tx, p, dt), p.W)), "midpoint")
+            rx = extract_crossings(quantize(ideal_lp(synthesize(tx, p, dt), p.W)))
             assert len(rx) == len(tx)  # count always survives
-            err = np.abs(rx.spacings - tx.spacings[1:])
+            err = np.abs(np.diff(rx.times) - np.diff(tx.times))
             tol = 2.0 * dt + p.beta / 100.0
             assert np.median(err) <= tol
             assert np.percentile(err, 90) <= 2.5 * tol
@@ -542,7 +598,7 @@ class TestFilteredSlope:
 
         p = params_at(1.0, 10.0)
         dt = p.beta / 48.0
-        tx = ZeroCrossingSeq.from_times(np.array([0.0]), first_rising=False)
+        tx = ZeroCrossingSeq(np.array([0.0]), first_rising=False)
         guard = 2000.0 * p.beta  # keeps the circular edge of the FFT filter far off
         xf = ideal_lp(synthesize(tx, p, dt, lead=guard, tail=guard), p.W)
         si_pi = sici(math.pi)[0]
