@@ -5,8 +5,9 @@ information) gives a colored-Gaussian timing channel whose rate is bounded
 below through an LMMSE/Szego argument; subtracting the maximum-entropy cost
 of the insertion side information yields the final lower bound.  Upper
 bound: water-filling over the colored shift-noise spectrum of the same genie
-channel.  Both reduce to pure functions of (k, rho) once rates are
-normalized by lam (lower) or bandwidth (both).
+channel.  At fixed k = W/lam both bounds are linear in W, so their ratio to
+the AWGN capacity depends on (k, rho) only: ``delta_offset`` and ``k_opt``
+evaluate the same lower bound at W = k, lam = 1.
 
 Conservative pairing throughout: the lower bound consumes the *upper*
 distortion variance and the *lower* (most negative) ACF curvature; the upper
@@ -16,12 +17,12 @@ bound consumes the *lower* distortion variance.  No mixing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distortion import DistortionBounds, c0_constant, c1_of_k, c2_constant, distortion_bounds
-from .params import DerivedParams
+from .distortion import DistortionBounds, distortion_bounds
+from .params import ChannelConfig, DerivedParams, derive
 from .quadrature import NumericalError, gauss_legendre, log_sine_integral
 
 __all__ = [
@@ -34,9 +35,6 @@ __all__ = [
     "waterfill_nu",
     "waterfill_residual",
     "bound_report",
-    "f1_pure_k",
-    "mu_bar_pure_k",
-    "lower_rate_pure_k",
     "delta_offset",
     "k_opt",
     "high_snr_limit",
@@ -162,6 +160,15 @@ def _waterfill_rate_per_symbol(nu: float, s_sq: float) -> float:
     return f0 * math.log(nu / (4.0 * s_sq)) - 2.0 * log_sine_integral(f0)
 
 
+def _lower_bound(p: DerivedParams, db: DistortionBounds) -> tuple[float, float, float, float]:
+    """Lower bound, unclamped, with its parts: (genie rate, mu_bar, h_v rate,
+    genie - h_v) in nats/s, from the upper variance and the lower curvature."""
+    g_lower = genie_lower_rate(p, db.sigma_z_sq_hi)
+    mu_bar = rice_mu(p, db.sigma_z_sq_hi, db.s2_zz_lo)
+    h_v_rate = h_vk_upper(mu_bar) / p.T_avg
+    return g_lower, mu_bar, h_v_rate, g_lower - h_v_rate
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """All headline quantities for one parameter point, rates in nats/s.
@@ -190,11 +197,7 @@ def bound_report(params: DerivedParams) -> BoundReport:
     p = params
     db = distortion_bounds(p)
 
-    # lower bound: conservative pairing (upper variance, lower curvature)
-    g_lower = genie_lower_rate(p, db.sigma_z_sq_hi)
-    mu_bar = rice_mu(p, db.sigma_z_sq_hi, db.s2_zz_lo)
-    h_v_rate = h_vk_upper(mu_bar) / p.T_avg
-    lower_raw = g_lower - h_v_rate
+    g_lower, mu_bar, h_v_rate, lower_raw = _lower_bound(p, db)
     lower = max(lower_raw, 0.0)
 
     # upper bound: lower distortion variance
@@ -217,59 +220,17 @@ def bound_report(params: DerivedParams) -> BoundReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# normalized pure-(k, rho) forms
-# ---------------------------------------------------------------------------
-
-def f1_pure_k(k: float, rho: float) -> float:
-    """Peak-to-total-noise ratio P_hat / sigma_z_hi^2 as a function of (k, rho)."""
-    c1 = c1_of_k(k)
-    c0 = c0_constant()
-    half2k = 0.5 + 2.0 * k
-    return (
-        (1.0 + 2.0 * k) / half2k
-        * rho / (1.0 + (1.0 + 2.0 * c1) * c0 * rho / (2.0 * math.pi**2 * half2k))
-    )
-
-
-def mu_bar_pure_k(k: float, rho: float) -> float:
-    """Expected received-per-transmitted symbols, pure (k, rho) form."""
-    c1 = c1_of_k(k)
-    c0 = c0_constant()
-    c2 = c2_constant()
-    half2k = 0.5 + 2.0 * k
-    onep2c1 = 1.0 + 2.0 * c1
-    num = (4.0 / 3.0) * math.pi**2 * half2k + 2.0 * onep2c1 * c2 * rho
-    den = math.pi**2 * half2k + onep2c1 * (c0 / 2.0) * rho
-    return k * math.sqrt(num / den) * math.exp(-f1_pure_k(k, rho) / 2.0) + 1.0
-
-
-def _bracket_pure_k(k: float, rho: float) -> float:
-    """Per-symbol bracket of the lower bound; rate = bracket / T_avg."""
-    mu = mu_bar_pure_k(k, rho)
-    f1 = f1_pure_k(k, rho)
-    return (
-        0.5 * _LOG_E_OVER_2PI
-        + 0.5 * arcosh_integral(2.0 * math.pi**2 * k**2 * f1)
-        - h_vk_upper(mu)
-    )
-
-
-def lower_rate_pure_k(k: float, rho: float) -> float:
-    """Unclamped lower bound divided by lam: 2k/(2k+1) times the bracket."""
-    return 2.0 * k / (2.0 * k + 1.0) * _bracket_pure_k(k, rho)
-
-
 def delta_offset(k: float, rho: float) -> float:
     """Log-offset between the AWGN capacity and the lower bound, in nats.
 
-    Equals ln[(2k+1)/2 * ln(1+rho) / bracket]; +inf where the unclamped
-    lower bound is nonpositive (the offset is undefined there).
+    Equals ln[W ln(1+rho) / lower_rate_raw] at W = k, lam = 1; +inf where the
+    unclamped lower bound is nonpositive (the offset is undefined there).
     """
-    b = _bracket_pure_k(k, rho)
-    if b <= 0.0:
+    p = derive(ChannelConfig(W=k, lam=1.0, rho=rho))
+    lower_raw = _lower_bound(p, distortion_bounds(p))[3]
+    if lower_raw <= 0.0:
         return math.inf
-    return math.log((2.0 * k + 1.0) * math.log1p(rho) / (2.0 * b))
+    return math.log(p.W * math.log1p(p.rho) / lower_raw)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -321,18 +282,9 @@ def k_opt(rho: float) -> float:
 
 
 def high_snr_limit(k: float, W: float) -> float:
-    """rho -> inf limit of the lower bound, nats/s; exactly linear in W."""
+    """rho -> inf limit of the lower bound, nats/s: the bound at N0 = 0, where
+    only the lowpass distortion remains; exactly linear in W."""
     if k <= 0 or W <= 0:
         raise ValueError("k and W must be positive")
-    c1 = c1_of_k(k)
-    c0 = c0_constant()
-    c2 = c2_constant()
-    onep2c1 = 1.0 + 2.0 * c1
-    arg = 4.0 * math.pi**4 * k**2 * (1.0 + 2.0 * k) / (onep2c1 * c0)
-    mu_g = (
-        2.0 * k * math.sqrt(c2 / c0)
-        * math.exp(-math.pi**2 * (1.0 + 2.0 * k) / (onep2c1 * c0))
-        + 1.0
-    )
-    bracket = 0.5 * _LOG_E_OVER_2PI + 0.5 * arcosh_integral(arg) - h_vk_upper(mu_g)
-    return 2.0 * W / (2.0 * k + 1.0) * bracket
+    p = replace(derive(ChannelConfig(W, W / k, 1.0)), rho=math.inf, N0=0.0, sigma_nhat_sq=0.0)
+    return _lower_bound(p, distortion_bounds(p))[3]

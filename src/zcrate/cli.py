@@ -122,7 +122,13 @@ def _params(cfg: dict, k: float | None = None, rho_db: float | None = None) -> D
     """The config's parameters, at k = W/lambda and SNR rho_db [dB] when given."""
     lam = cfg["lambda"] if k is None else cfg["W"] / k
     rho = cfg["rho"] if rho_db is None else 10.0 ** (rho_db / 10.0)
-    return derive(ChannelConfig(W=cfg["W"], lam=lam, rho=rho, P_hat=cfg["P_hat"]))
+    try:
+        return derive(ChannelConfig(W=cfg["W"], lam=lam, rho=rho, P_hat=cfg["P_hat"]))
+    except ValueError as exc:
+        where = "config" if k is None else f"k = {k:g}"
+        if rho_db is not None:
+            where += f", SNR {rho_db:g} dB"
+        raise UsageError(f"{where}: {exc}") from exc
 
 
 def parse_list(text: str) -> list[float]:
@@ -260,7 +266,10 @@ def _bounds_cell(cfg: dict, grid: dict, seed, rho_db: float, k: float) -> tuple:
 
 def _k_opt_cell(cfg: dict, grid: dict, seed, rho_db: float) -> tuple:
     rho = 10.0 ** (rho_db / 10.0)
-    k = k_opt(rho)
+    try:
+        k = k_opt(rho)
+    except ValueError as exc:  # the search's parameters leave the floats
+        raise UsageError(f"SNR {rho_db:g} dB: {exc}") from exc
     d = delta_offset(k, rho)
     return (rho_db, k, d, math.exp(d), d / LN2)
 
@@ -291,7 +300,7 @@ def _census_cell(cfg: dict, grid: dict, seed, k: float, rho_db: float) -> tuple:
     row = (rho_db, k, crossings.expectation, crossings.variance)
     if seed is None:
         return row
-    cen = transition_crossing_census(p, p.rho, grid["mc_trials"], np.random.default_rng(seed))
+    cen = transition_crossing_census(p, grid["mc_trials"], np.random.default_rng(seed))
     return row + (cen.mean, cen.var)
 
 
@@ -607,10 +616,7 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         cfg["seed"] = args.seed
     if cfg["seed"] < 0:
         raise UsageError(f"seed must be >= 0, got {cfg['seed']}")
-    try:
-        _params(cfg)
-    except ValueError as exc:
-        raise UsageError(f"config: {exc}") from exc
+    _params(cfg)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     grid = {}
@@ -627,6 +633,13 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         grid[key] = value
     if grid.get("mc_trials") == 1:
         raise UsageError("mc_trials must be 0 or >= 2, got 1")
+    for rho_db in grid.get("rho_db", ()):
+        try:
+            rho = 10.0 ** (rho_db / 10.0)
+        except OverflowError:
+            rho = math.inf
+        if not 0 < rho < math.inf:
+            raise UsageError(f"rho_db {rho_db:g} gives a linear SNR outside (0, inf)")
     for key in ("k_list", "beta_list", "ratio_list"):
         if key in grid and not all(v > 0 for v in grid[key]):
             raise UsageError(f"{key} values must be positive, got {grid[key]}")
@@ -637,6 +650,10 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         if not (0 < grid["dt"] <= dt_max):
             raise UsageError(f"dt must lie in (0, min(beta_list)/20 = {dt_max:.3g}], "
                              f"got {grid['dt']}")
+        fastest = max(ratio / beta for beta in grid["beta_list"] for ratio in grid["ratio_list"])
+        if 1.0 / grid["dt"] < fastest:
+            raise UsageError(f"sample rate 1/dt = {1.0 / grid['dt']:.3g} is below 2W = "
+                             f"ratio/beta = {fastest:.3g}")
     return ExperimentSpec(
         subcommand=args.subcommand, config=cfg, grid=grid, output_dir=args.out,
         units=args.units, jobs=args.jobs,

@@ -45,10 +45,14 @@ class ChannelConfig:
     P_hat: float = 1.0
 
     def validate(self) -> None:
-        for name in ("W", "lam", "rho", "P_hat"):
-            value = getattr(self, name)
-            if not (value > 0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        _require_positive_finite(self, ("W", "lam", "rho", "P_hat"))
+
+
+def _require_positive_finite(obj, names: tuple[str, ...], prefix: str = "") -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not (value > 0) or not math.isfinite(value):
+            raise ValueError(f"{prefix}{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,11 @@ class DerivedParams:
 
 
 def derive(config: ChannelConfig) -> DerivedParams:
-    """Populate all derived scalars from a validated config."""
+    """Populate all derived scalars from a validated config.
+
+    Raises ValueError naming a derived scalar that leaves the positive finite
+    floats, as extreme but valid configs can make it.
+    """
     config.validate()
     W, lam, rho, P_hat = config.W, config.lam, config.rho, config.P_hat
     beta = 1.0 / (2.0 * W)
@@ -81,20 +89,31 @@ def derive(config: ChannelConfig) -> DerivedParams:
     k = W / lam
     # average power of the alternating signal with sine transitions
     P = (0.5 + 2.0 * k) / (1.0 + 2.0 * k) * P_hat
-    N0 = P / (rho * W)
-    return DerivedParams(
+    try:
+        sigma_A_sq = 1.0 / lam**2
+    except (ZeroDivisionError, OverflowError):  # lam**2 underflows or overflows
+        sigma_A_sq = math.inf if lam < 1.0 else 0.0
+    try:
+        N0 = P / (rho * W)
+    except ZeroDivisionError:  # rho * W underflows
+        N0 = math.inf
+    params = DerivedParams(
         W=W,
         lam=lam,
         rho=rho,
         P_hat=P_hat,
         beta=beta,
         T_avg=T_avg,
-        sigma_A_sq=1.0 / lam**2,
+        sigma_A_sq=sigma_A_sq,
         P=P,
         N0=N0,
         sigma_nhat_sq=N0 * W,
         k=k,
     )
+    _require_positive_finite(
+        params, ("beta", "T_avg", "sigma_A_sq", "P", "N0", "sigma_nhat_sq", "k"), "derived "
+    )
+    return params
 
 
 @dataclass(frozen=True)

@@ -443,21 +443,16 @@ class CensusResult:
 
 
 def transition_crossing_census(
-    params: DerivedParams, rho: float, n_trials: int, rng: np.random.Generator
+    params: DerivedParams, n_trials: int, rng: np.random.Generator
 ) -> CensusResult:
     """Count received zero-crossings inside each transition window.
 
     Windows are [T_k - beta/2, T_k + beta/2]; at mid/high SNR each should
-    contain exactly one crossing.  rho overrides the SNR of ``params``;
-    rho = inf runs the noise-free chain.
+    contain exactly one crossing.  With N0 = 0 the chain is noise-free.
     """
     if n_trials < 2:
         raise ValueError(f"n_trials must be >= 2, got {n_trials}")
     p = params
-    if math.isinf(rho):
-        p = replace(p, rho=math.inf, N0=0.0, sigma_nhat_sq=0.0)
-    elif rho != p.rho:
-        p = derive(ChannelConfig(p.W, p.lam, rho, p.P_hat))
     dt = p.beta / 24.0
     counts: list[np.ndarray] = []
     collected = 0

@@ -207,7 +207,7 @@ def test_criterion_08_transition_statistics():
             ok = False
         details.append(f"k={k},{rho_db}dB: E={v.expectation:.4f} Var={v.variance:.4f}")
     p = params_at(1.0, 10.0)
-    cen = transition_crossing_census(p, p.rho, 10**4, np.random.default_rng(77))
+    cen = transition_crossing_census(p, 10**4, np.random.default_rng(77))
     se = math.sqrt(cen.var / cen.counts.size)
     mc_ok = (0.98 - 3.0 * se <= cen.mean <= 1.02 + 3.0 * se) and cen.var <= 0.05 + 3.0 * se
     elapsed = time.perf_counter() - t0

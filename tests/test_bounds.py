@@ -11,19 +11,16 @@ from zcrate.bounds import (
     arcosh_integral,
     bound_report,
     delta_offset,
-    f1_pure_k,
     genie_lower_rate,
     h_vk_upper,
     high_snr_limit,
     k_opt,
-    lower_rate_pure_k,
-    mu_bar_pure_k,
     rice_mu,
     sigma_S_sq,
     waterfill_nu,
     waterfill_residual,
 )
-from zcrate.distortion import distortion_bounds
+from zcrate.distortion import c0_constant, c1_of_k, c2_constant, distortion_bounds
 from zcrate.params import ChannelConfig, derive
 from zcrate.quadrature import NumericalError
 
@@ -36,6 +33,24 @@ def arcosh_quadrature(a: float) -> float:
         0.0, 0.5, epsabs=1e-13, epsrel=1e-13, limit=300,
     )
     return 2.0 * smooth + math.log(2.0)
+
+
+def high_snr_limit_closed_form(k: float, W: float) -> float:
+    """The rho -> inf lower bound written out in (k, W): the N0 -> 0 limit of
+    genie rate minus side-information rate, with c0, c1 and c2 substituted."""
+    c1 = c1_of_k(k)
+    c0 = c0_constant()
+    c2 = c2_constant()
+    onep2c1 = 1.0 + 2.0 * c1
+    arg = 4.0 * math.pi**4 * k**2 * (1.0 + 2.0 * k) / (onep2c1 * c0)
+    mu_g = (
+        2.0 * k * math.sqrt(c2 / c0)
+        * math.exp(-math.pi**2 * (1.0 + 2.0 * k) / (onep2c1 * c0))
+        + 1.0
+    )
+    bracket = (0.5 * (1.0 - math.log(2.0 * math.pi)) + 0.5 * arcosh_integral(arg)
+               - h_vk_upper(mu_g))
+    return 2.0 * W / (2.0 * k + 1.0) * bracket
 
 
 class TestSigmaS:
@@ -165,17 +180,6 @@ class TestLowerBound:
         assert rep.lower_rate == 0.0
         assert rep.lower_rate_raw < 0.0
 
-    def test_pure_k_route_agrees_with_dimensional(self):
-        for k, rho in [(0.5, 5.0), (1.0, 10.0), (2.0, 100.0), (0.3, 31.6)]:
-            p = derive(ChannelConfig(W=2.0, lam=2.0 / k, rho=rho))
-            rep = bound_report(p)
-            assert rep.mu_bar == pytest.approx(mu_bar_pure_k(k, rho), rel=1e-10)
-            assert rep.lower_rate_raw / p.lam == pytest.approx(
-                lower_rate_pure_k(k, rho), rel=1e-10
-            )
-            db = rep.sdr
-            assert p.P_hat / db.sigma_z_sq_hi == pytest.approx(f1_pure_k(k, rho), rel=1e-10)
-
     def test_decomposition_inequality(self):
         p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
         rep = bound_report(p)
@@ -282,7 +286,6 @@ class TestOffsetAndLimit:
             v2 = high_snr_limit(k, 2.0)
             assert abs(v2 - 2.0 * v1) <= 1e-14 * abs(v2)
             c0 = 1.0  # mu_g sanity through the public surface
-            from zcrate.distortion import c0_constant, c1_of_k, c2_constant
 
             mu_g = (
                 2.0 * k * math.sqrt(c2_constant() / c0_constant())
@@ -291,6 +294,9 @@ class TestOffsetAndLimit:
                 + 1.0
             )
             assert mu_g >= 1.0
+            for W in (1.0, 1.3, 2.0):
+                oracle = high_snr_limit_closed_form(k, W)
+                assert abs(high_snr_limit(k, W) - oracle) <= 1e-14 * abs(oracle)
 
 
 class TestSaturation:

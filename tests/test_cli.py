@@ -170,6 +170,18 @@ def test_invalid_grid_exit_code(tmp_path):
     ["lp-distortion", "--n-time", "1"],
     ["lp-distortion", "--n-ensemble", "1"],
     ["transition-census", "--mc-trials", "1"],
+    # values that leave the floats: the sample rate below 2W, an SNR of 0 or
+    # inf, a derived scalar that underflows or overflows
+    ["deletions", "--beta-list", "1", "--ratio-list", "50", "--rho-db", "6", "--K", "10",
+     "--dt", "0.05"],
+    ["bounds-sweep", "--rho-db=-4000", "--k-points", "2"],
+    ["deletions", "--rho-db=-4000", "--beta-list", "1", "--ratio-list", "1", "--K", "10",
+     "--dt", "0.05"],
+    ["bounds-sweep", "--rho-db=4000", "--k-points", "2"],
+    ["k-opt", "--rho-db=4000"],
+    ["k-opt", "--rho-db=3080"],
+    ["--set", "W=1e-300", "bounds-sweep"],
+    ["--set", "lambda=1e-300", "simulate", "--K", "5"],
 ])
 def test_bad_value_is_usage_error(tmp_path, capsys, args):
     rc = main(["--out", str(tmp_path), *args])
@@ -225,11 +237,18 @@ def test_deletions_filter_column_is_the_census_count(tmp_path):
 
 
 def test_cli_import_leaves_slow_scipy_subpackages_out(tmp_path):
-    # none of these is needed to parse arguments; scipy.integrate is loaded
-    # on demand by the constants oracle, which must still write its residuals
+    # none of these is needed to parse arguments, to run the closed-form
+    # bounds at their defaults, or to evaluate the offset k_opt searches
+    # anywhere in its bracket (at k = 0.05 and 6 dB the upper bound's
+    # water-filling would need a root solve); scipy.integrate is loaded on
+    # demand by the constants oracle, which must still write its residuals
     code = (
-        "import json, sys, zcrate.cli\n"
+        "import contextlib, io, json, sys, zcrate.cli\n"
         "zcrate.cli.build_parser()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for cmd in ('k-opt', 'bounds-sweep'):\n"
+        "        assert zcrate.cli.main(['--out', sys.argv[1], cmd]) == 0\n"
+        "zcrate.cli.delta_offset(0.05, 10.0 ** 0.6)\n"
         "slow = ['scipy.integrate', 'scipy.optimize', 'scipy.fft', 'scipy.signal']\n"
         "print(json.dumps([m for m in slow if m in sys.modules]))\n"
         "zcrate.cli.main(['--out', sys.argv[1], 'constants'])\n"

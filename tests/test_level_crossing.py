@@ -193,7 +193,7 @@ class TestVarianceCrossings:
             which: variance_curve_crossings(psi, psip, T, AcfModel.total(p, which))
             for which in ("lower", "upper")
         }
-        cen = transition_crossing_census(p, p.rho, 4000, np.random.default_rng(9))
+        cen = transition_crossing_census(p, 4000, np.random.default_rng(9))
         e_lo = min(r.expectation for r in res.values())
         e_hi = max(r.expectation for r in res.values())
         se = math.sqrt(cen.var / cen.counts.size)

@@ -626,30 +626,29 @@ class TestFilteredSlope:
 
 class TestCensus:
     def test_noise_free_exactly_one(self):
-        p = params_at(1.0, 10.0)
-        cen = transition_crossing_census(p, math.inf, 400, np.random.default_rng(14))
+        p = replace(params_at(1.0, 10.0), rho=math.inf, N0=0.0, sigma_nhat_sq=0.0)
+        cen = transition_crossing_census(p, 400, np.random.default_rng(14))
         assert cen.mean == 1.0
         assert cen.var == 0.0
 
     def test_mid_snr_bands(self):
         p = params_at(1.0, 10.0)
-        cen = transition_crossing_census(p, 10.0, 3000, np.random.default_rng(15))
+        cen = transition_crossing_census(p, 3000, np.random.default_rng(15))
         assert cen.mean == pytest.approx(1.0, abs=0.02)
         assert cen.var <= 0.05
 
     def test_low_snr_breaks_assumption(self):
         # at 0 dB the count departs visibly from 1 (crossings leave the window
         # faster than extra ones arrive; the analytic count agrees, ~0.82)
-        p = params_at(1.0, 10.0)
-        cen = transition_crossing_census(p, 1.0, 2000, np.random.default_rng(16))
+        p = params_at(1.0, 0.0)
+        cen = transition_crossing_census(p, 2000, np.random.default_rng(16))
         assert abs(cen.mean - 1.0) > 0.05
 
     @pytest.mark.parametrize("n_trials", [1, 0])
     def test_rejects_fewer_than_two_trials(self, n_trials):
         # one count has no sample variance
         with pytest.raises(ValueError, match="must be >= 2"):
-            transition_crossing_census(params_at(1.0, 10.0), 10.0, n_trials,
-                                       np.random.default_rng(0))
+            transition_crossing_census(params_at(1.0, 10.0), n_trials, np.random.default_rng(0))
 
 
 class TestLpDistortionStats:
