@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distortion import DistortionBounds, distortion_bounds
-from .params import ChannelConfig, DerivedParams, derive
+from .params import ChannelConfig, DerivedParams, awgn_capacity, derive
 from .quadrature import NumericalError, gauss_legendre, log_sine_integral
 
 __all__ = [
@@ -215,7 +215,7 @@ def bound_report(params: DerivedParams) -> BoundReport:
         nu=nu,
         sigma_S_sq=s_sq_lo,
         sdr=db,
-        awgn=p.W * math.log1p(p.rho),
+        awgn=awgn_capacity(p),
         clamped=lower_raw < 0.0,
     )
 
@@ -230,7 +230,7 @@ def delta_offset(k: float, rho: float) -> float:
     lower_raw = _lower_bound(p, distortion_bounds(p))[3]
     if lower_raw <= 0.0:
         return math.inf
-    return math.log(p.W * math.log1p(p.rho) / lower_raw)
+    return math.log(awgn_capacity(p) / lower_raw)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

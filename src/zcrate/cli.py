@@ -326,7 +326,7 @@ def _lp_distortion_cell(cfg: dict, grid: dict, seed, k: float) -> tuple:
 
 def _deletions_cell(cfg: dict, grid: dict, seed, rho_db: float, beta: float, ratio: float) -> tuple:
     W = ratio / (2.0 * beta)
-    dc = deletion_census(1.0, beta, W, 10.0 ** (rho_db / 10.0), grid["K"], grid["dt"],
+    dc = deletion_census(cfg["lambda"], beta, W, 10.0 ** (rho_db / 10.0), grid["K"], grid["dt"],
                          np.random.default_rng(seed), P_hat=cfg["P_hat"])
     return (rho_db, beta, W, ratio, dc.k_tilde, grid["K"], dc.n_deletions, dc.n_insertions,
             dc.n_deletions_filter)

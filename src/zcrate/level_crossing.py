@@ -10,12 +10,16 @@ Total noise = filtered AWGN + lowpass distortion.  The distortion part of
 the ACF is only known through the PSD sandwich; builders below use the
 flattened (band-edge-frozen) upper or lower bound so the lag-0 values
 reproduce the closed-form variance/curvature bounds exactly.
+
+The shift density and the ACF evaluators follow numpy's shape rule: a scalar
+or an array of any shape in, the same shape out, a numpy float for a scalar.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -68,15 +72,13 @@ def pdf_shift(s, params: DerivedParams, sigma_z_sq: float):
     p = params
     a = p.P_hat / (2.0 * sigma_z_sq)
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    sv = np.atleast_1d(s)
-    x = math.pi / p.beta * sv
+    x = math.pi / p.beta * s
     out = np.where(
-        np.abs(sv) <= p.beta / 2.0,
+        np.abs(s) <= p.beta / 2.0,
         math.sqrt(math.pi * a) / p.beta * np.cos(x) * np.exp(-a * np.sin(x) ** 2),
         0.0,
     )
-    return float(out[0]) if scalar else out
+    return out[()]
 
 
 def shift_variance_ratio(params: DerivedParams, sigma_z_sq: float) -> float:
@@ -100,46 +102,37 @@ def shift_variance_ratio(params: DerivedParams, sigma_z_sq: float) -> float:
 # ACF models
 # ---------------------------------------------------------------------------
 
-def _sinc(x):
-    return np.sinc(x)
-
-
 def _sinc_d1(x):
     """d/dx sin(pi x)/(pi x), series-stabilized near 0."""
     x = np.asarray(x, dtype=float)
-    shape = x.shape
-    x = np.atleast_1d(x)
     out = np.empty_like(x)
     small = np.abs(x) < 1e-3
     xs = x[small]
     out[small] = -(math.pi**2 / 3.0) * xs + (math.pi**4 / 30.0) * xs**3
     xl = x[~small]
     out[~small] = (np.cos(math.pi * xl) - np.sinc(xl)) / xl
-    return out.reshape(shape)
+    return out[()]
 
 
 def _sinc_d2(x):
     """d^2/dx^2 sin(pi x)/(pi x), series-stabilized near 0."""
     x = np.asarray(x, dtype=float)
-    shape = x.shape
-    x = np.atleast_1d(x)
     out = np.empty_like(x)
     small = np.abs(x) < 1e-3
     xs = x[small]
     out[small] = -(math.pi**2 / 3.0) + (math.pi**4 / 10.0) * xs**2
     xl = x[~small]
     out[~small] = (-math.pi * np.sin(math.pi * xl) - 2.0 * _sinc_d1(xl)) / xl
-    return out.reshape(shape)
+    return out[()]
 
 
 @dataclass(frozen=True)
 class AcfModel:
     """Autocorrelation of a stationary Gaussian process and its derivatives.
 
-    s0 = s(0) > 0 and s2(0) < 0; s1 is the first derivative (odd, 0 at 0).
+    s(0) > 0 and s2(0) < 0; s1 is the first derivative (odd, 0 at 0).
     """
 
-    s0: float
     s: Callable[[np.ndarray], np.ndarray]
     s1: Callable[[np.ndarray], np.ndarray]
     s2: Callable[[np.ndarray], np.ndarray]
@@ -147,8 +140,13 @@ class AcfModel:
     def __post_init__(self) -> None:
         if not (self.s0 > 0):
             raise ValueError(f"s(0) must be positive, got {self.s0}")
-        if not (float(np.asarray(self.s2(0.0))) < 0):
+        if not (float(self.s2(0.0)) < 0):
             raise ValueError("s''(0) must be negative")
+
+    @cached_property
+    def s0(self) -> float:
+        """The variance s(0)."""
+        return float(self.s(0.0))
 
     @classmethod
     def bandlimited_noise(cls, N0: float, W: float) -> "AcfModel":
@@ -156,8 +154,7 @@ class AcfModel:
         var = N0 * W
         a = 2.0 * W
         return cls(
-            s0=var,
-            s=lambda tau: var * _sinc(a * np.asarray(tau, dtype=float)),
+            s=lambda tau: var * np.sinc(a * np.asarray(tau, dtype=float)),
             s1=lambda tau: var * a * _sinc_d1(a * np.asarray(tau, dtype=float)),
             s2=lambda tau: var * a**2 * _sinc_d2(a * np.asarray(tau, dtype=float)),
         )
@@ -177,25 +174,16 @@ class AcfModel:
         scale = factor * p.P_hat * p.beta / (math.pi * p.T_avg)
 
         def _moment(tau, m, kind):
-            arr = np.atleast_1d(np.asarray(tau, dtype=float))
-            vals = np.array(
-                [acf_tail_moment(m, abs(t) / p.beta, kind) for t in arr.ravel()]
-            ).reshape(arr.shape)
-            return vals if np.ndim(tau) else float(vals[0])
+            # at the signed lag: the cosine moments are even, the sine moment odd
+            r = np.asarray(tau, dtype=float) / p.beta
+            vals = np.array([acf_tail_moment(m, x, kind) for x in r.ravel()])
+            return vals.reshape(r.shape)[()]
 
-        def s(tau):
-            return scale * _moment(tau, 0, "cos")
-
-        def s1(tau):
-            # the ACF is even, so s' is odd; moments are taken at |tau|
-            sgn = np.sign(np.asarray(tau, dtype=float))
-            out = sgn * (-(scale / p.beta) * _moment(tau, 1, "sin"))
-            return out if np.ndim(tau) else float(out)
-
-        def s2(tau):
-            return -(scale / p.beta**2) * _moment(tau, 2, "cos")
-
-        return cls(s0=float(s(0.0)), s=s, s1=s1, s2=s2)
+        return cls(
+            s=lambda tau: scale * _moment(tau, 0, "cos"),
+            s1=lambda tau: -(scale / p.beta) * _moment(tau, 1, "sin"),
+            s2=lambda tau: -(scale / p.beta**2) * _moment(tau, 2, "cos"),
+        )
 
     @classmethod
     def total(cls, params: DerivedParams, which: str = "upper") -> "AcfModel":
@@ -203,7 +191,6 @@ class AcfModel:
         noise = cls.bandlimited_noise(params.N0, params.W)
         dist = cls.distortion(params, which)
         return cls(
-            s0=noise.s0 + dist.s0,
             s=lambda tau: noise.s(tau) + dist.s(tau),
             s1=lambda tau: noise.s1(tau) + dist.s1(tau),
             s2=lambda tau: noise.s2(tau) + dist.s2(tau),
@@ -256,7 +243,7 @@ def expected_curve_crossings(
     with z' independent of z at equal times (stationarity).  For psi = 0 this
     collapses to T/pi * sqrt(-s''(0)/s(0)).
     """
-    lam2 = -float(np.asarray(acf.s2(0.0)))
+    lam2 = -float(acf.s2(0.0))
     sigma = math.sqrt(acf.s0)
     nodes, weights = gauss_legendre(_CURVE_NODES)
     y = 0.5 * T * (nodes + 1.0)
@@ -317,7 +304,7 @@ def variance_curve_crossings(
     reported alongside the result.
     """
     expectation = expected_curve_crossings(psi, psi_prime, T, acf)
-    lam2 = -float(np.asarray(acf.s2(0.0)))
+    lam2 = -float(acf.s2(0.0))
     s0 = acf.s0
     eps = _EPS_FRAC * T
 
@@ -325,9 +312,9 @@ def variance_curve_crossings(
     t_nodes, t_weights = gauss_legendre(_T_NODES)
     tau = 0.5 * (T - eps) * (tau_nodes + 1.0) + eps  # (_TAU_NODES,)
 
-    s_tau = np.asarray(acf.s(tau))
-    s1_tau = np.asarray(acf.s1(tau))
-    s2_tau = np.asarray(acf.s2(tau))
+    s_tau = acf.s(tau)
+    s1_tau = acf.s1(tau)
+    s2_tau = acf.s2(tau)
     det = s0**2 - s_tau**2
     c_diag = lam2 - s1_tau**2 * s0 / det
     c_off = -s2_tau - s1_tau**2 * s_tau / det

@@ -173,7 +173,7 @@ def _draw_spacings(
     return params.beta + rng.exponential(1.0 / params.lam, size=size)
 
 
-def awgn_capacity(config: ChannelConfig) -> float:
+def awgn_capacity(config: ChannelConfig | DerivedParams) -> float:
     """Unquantized AWGN capacity W*ln(1+rho) in nats/s.
 
     rho = 0 is permitted here (and only here) as the zero-rate boundary.

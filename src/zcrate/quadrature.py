@@ -10,6 +10,7 @@ with this module.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Callable
@@ -51,14 +52,10 @@ def quad_checked(
     return value
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 # Gauss-Legendre nodes for the smooth remainder of log_sine_integral

@@ -8,6 +8,9 @@ sandwiched between two closed-form expressions, which gives pointwise upper
 and lower PSD bounds.  A truncated (Cesaro-weighted) version of the sum with
 the exact spacing-sum characteristic function provides a finite-block
 approximation of the true PSD.
+
+The evaluators follow numpy's shape rule: a scalar or an array of any shape
+in, the same shape out, a numpy float for a scalar.
 """
 
 from __future__ import annotations
@@ -45,27 +48,23 @@ def g_mag_sq(omega, beta: float):
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    x = np.abs(np.atleast_1d(omega)) * beta
+    x = np.abs(np.asarray(omega, dtype=float)) * beta
     if np.any(x == 0):
         raise PoleError("g_mag_sq has a pole at omega = 0")
     out = np.empty_like(x)
     u = x - np.pi
     near = np.abs(u) < 1e-4
-    if np.any(near):
-        un = u[near]
-        series = (1.0 - un**2 / 12.0 + un**4 / 360.0) / ((np.pi + un) ** 2 * (2.0 * np.pi + un) ** 2)
-        out[near] = np.pi**4 * beta**2 * series
+    un = u[near]
+    series = (1.0 - un**2 / 12.0 + un**4 / 360.0) / ((np.pi + un) ** 2 * (2.0 * np.pi + un) ** 2)
+    out[near] = np.pi**4 * beta**2 * series
     far = ~near
-    if np.any(far):
-        xf = x[far]
-        # 1 + cos(x) = 2 cos^2(x/2), stable away from the removable point
-        out[far] = (
-            4.0 * np.cos(xf / 2.0) ** 2 * np.pi**4 * beta**2
-            / (xf**2 * (np.pi**2 - xf**2) ** 2)
-        )
-    return float(out[0]) if scalar else out
+    xf = x[far]
+    # 1 + cos(x) = 2 cos^2(x/2), stable away from the removable point
+    out[far] = (
+        4.0 * np.cos(xf / 2.0) ** 2 * np.pi**4 * beta**2
+        / (xf**2 * (np.pi**2 - xf**2) ** 2)
+    )
+    return out[()]
 
 
 def correlation_factor(omega, lam: float):
@@ -76,13 +75,11 @@ def correlation_factor(omega, lam: float):
     """
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    w = np.atleast_1d(omega)
+    w = np.asarray(omega, dtype=float)
     if np.any(w == 0):
         raise PoleError("correlation_factor has a pole at omega = 0")
     c = lam * (np.sqrt(lam**2 + w**2) + lam) / w**2
-    return float(c[0]) if scalar else c
+    return c[()]
 
 
 def expected_cos(omega: float, n: int, lam: float, beta: float) -> float:
@@ -133,9 +130,8 @@ def psd_finite_k(omega, params: DerivedParams, K: int = 10**5):
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     p = params
-    omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    w = np.atleast_1d(omega)
+    # trailing axis: numpy's scalar complex arithmetic rounds unlike its loops
+    w = np.asarray(omega, dtype=float)[..., None]
     if np.any(w == 0):
         raise PoleError("psd_finite_k has a pole at omega = 0")
     r = p.lam / np.hypot(p.lam, w)
@@ -146,4 +142,4 @@ def psd_finite_k(omega, params: DerivedParams, K: int = 10**5):
     s2 = z * (1.0 - K * zK1 + (K - 1) * zK1 * z) / (1.0 - z) ** 2
     cesaro = np.real(s1 - s2 / K)
     psd = (p.P_hat * g_mag_sq(w, p.beta) / p.T_avg) * (1.0 + 2.0 * cesaro)
-    return float(psd[0]) if scalar else psd
+    return psd[..., 0][()]

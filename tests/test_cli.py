@@ -236,6 +236,19 @@ def test_deletions_filter_column_is_the_census_count(tmp_path):
     assert int(row["n_deletions"]) == dc.n_deletions
 
 
+def test_deletions_use_the_config_lambda(tmp_path):
+    args = ["--seed", "7", "deletions", "--rho-db", "15", "--beta-list", "1",
+            "--ratio-list", "0.3", "--K", "200", "--dt", "5e-3"]
+    csvs = {}
+    for lam in (1.0, 2.0):
+        out = tmp_path / f"lam{lam:g}"
+        assert main(["--out", str(out), "--set", f"lambda={lam:g}", *args]) == 0
+        (row,) = read_rows(out / "deletions.csv")
+        assert float(row["k_tilde"]) == 1.0 / (2.0 * 1.0 * lam)
+        csvs[lam] = (out / "deletions.csv").read_bytes()
+    assert csvs[1.0] != csvs[2.0]
+
+
 def test_cli_import_leaves_slow_scipy_subpackages_out(tmp_path):
     # none of these is needed to parse arguments, to run the closed-form
     # bounds at their defaults, or to evaluate the offset k_opt searches

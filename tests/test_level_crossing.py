@@ -19,6 +19,7 @@ from zcrate.level_crossing import (
 )
 from zcrate.params import ChannelConfig, derive
 from zcrate.simulate import SampledWaveform, gen_bandlimited_noise
+from zcrate.spectrum import correlation_factor, g_mag_sq, psd_finite_k
 
 
 def params_at(k: float, rho_db: float, W: float = 1.0):
@@ -112,6 +113,45 @@ class TestAcfModel:
             assert float(acf.s2(tau)) == pytest.approx(fd2, rel=1e-3, abs=1e-6)
 
 
+_SHAPE_P = params_at(1.0, 10.0)
+_SHAPE_FUNCTIONS = {
+    "g_mag_sq": lambda x: g_mag_sq(x, _SHAPE_P.beta),
+    "correlation_factor": lambda x: correlation_factor(x, _SHAPE_P.lam),
+    "psd_finite_k": lambda x: psd_finite_k(x, _SHAPE_P),
+    "pdf_shift": lambda x: pdf_shift(x, _SHAPE_P, 0.1),
+}
+_ACF_BUILDERS = {
+    "bandlimited_noise": lambda p: AcfModel.bandlimited_noise(p.N0, p.W),
+    "distortion": lambda p: AcfModel.distortion(p, "upper"),
+    "total": lambda p: AcfModel.total(p, "upper"),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [*_SHAPE_FUNCTIONS, *(f"{m}.{a}" for m in _ACF_BUILDERS for a in ("s", "s1", "s2"))]
+)
+def test_evaluators_follow_the_numpy_shape_rule(name):
+    """A scalar gives a float with the bits of the 1-element array [x]; any shape is kept.
+
+    Compared against 1-element arrays only: numpy's vector loops may round an
+    element of a long array differently.  At -0.02 psd_finite_k cancels
+    enough that numpy's scalar complex arithmetic would move the result.
+    """
+    if name in _SHAPE_FUNCTIONS:
+        f = _SHAPE_FUNCTIONS[name]
+    else:
+        model, attr = name.split(".")
+        acf = _ACF_BUILDERS[model](_SHAPE_P)
+        assert acf.s0 == float(acf.s(0.0))
+        f = getattr(acf, attr)
+    for x in (0.3, -0.41, 2e-4, -0.02, 2.0 * math.pi + 1e-5):
+        value = f(x)
+        assert isinstance(value, float)
+        assert float(value).hex() == float(f(np.array([x]))[0]).hex()
+    grid = np.array([[0.3, -0.41, -0.02], [2e-4, 1.1, 0.7]])
+    assert np.shape(f(grid)) == grid.shape
+
+
 class TestExpectedCrossings:
     def test_rice_reduction_at_zero_curve(self):
         p = params_at(1.0, 10.0)
@@ -139,7 +179,6 @@ class TestExpectedCrossings:
         e1 = expected_curve_crossings(psi, psip, T, acf)
         c = 3.7
         scaled = AcfModel(
-            s0=c**2 * acf.s0,
             s=lambda t: c**2 * acf.s(t),
             s1=lambda t: c**2 * acf.s1(t),
             s2=lambda t: c**2 * acf.s2(t),
