@@ -9,7 +9,7 @@ from .params import (
     derive,
     sample_input_sequence,
 )
-from .spectrum import PoleError, PsdBounds, psd_finite_k
+from .spectrum import PoleError, psd_bounds, psd_finite_k
 from .distortion import DistortionBounds, c0_constant, c2_constant, distortion_bounds
 from .bounds import (
     BoundReport,
@@ -30,7 +30,7 @@ __all__ = [
     "sample_input_sequence",
     "awgn_capacity",
     "PoleError",
-    "PsdBounds",
+    "psd_bounds",
     "psd_finite_k",
     "DistortionBounds",
     "c0_constant",

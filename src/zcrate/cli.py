@@ -53,7 +53,7 @@ from .simulate import (
     run_chain,
     transition_crossing_census,
 )
-from .spectrum import PsdBounds, g_mag_sq, psd_finite_k
+from .spectrum import g_mag_sq, psd_bounds, psd_finite_k
 
 LN2 = math.log(2.0)
 
@@ -70,7 +70,6 @@ class ExperimentSpec:
     config: dict              # W, lambda, rho, P_hat (floats), seed (int)
     grid: dict                # subcommand-specific ranges and sizes
     output_dir: str
-    units: str = "bits"
     jobs: int = 1
 
 
@@ -167,7 +166,6 @@ def write_manifest(spec: ExperimentSpec, out: Path, files: list[str]) -> None:
         "config": spec.config,
         "grid": spec.grid,
         "seed": spec.config["seed"],
-        "units": spec.units,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     manifest = {
@@ -283,13 +281,13 @@ def _spectral_efficiency_cell(cfg: dict, grid: dict, seed, k: float, rho_db: flo
 
 def _psd_cell(cfg: dict, grid: dict, seed, k: float) -> list[tuple]:
     p = _params(cfg, k)
-    emp = empirical_psd(p, grid["K"], p.beta / 20.0, np.random.default_rng(seed))
+    emp = empirical_psd(p, grid["K"], np.random.default_rng(seed))
     mask = (emp.f > 0) & (emp.f <= 3.0 * p.W)
     f = emp.f[mask]
     w = 2.0 * math.pi * f
-    pb = PsdBounds(p)
+    lower, upper = psd_bounds(w, p)
     finite_k = psd_finite_k(w, p, grid["K"])
-    return list(zip(f / p.W, pb.lower(w), pb.upper(w), emp.psd[mask], finite_k))
+    return list(zip(f / p.W, lower, upper, emp.psd[mask], finite_k))
 
 
 def _census_cell(cfg: dict, grid: dict, seed, k: float, rho_db: float) -> tuple:
@@ -447,20 +445,16 @@ def run_simulate(spec: ExperimentSpec, out: Path) -> list[str]:
     rng = np.random.default_rng(spec.config["seed"])
     p = _params(spec.config)
     rep = bound_report(p)
-    scale = 1.0 if spec.units == "nats" else 1.0 / LN2
-    print(
-        f"bounds at W={p.W:g}, lambda={p.lam:g}, rho={p.rho:g}: "
-        f"lower {rep.lower_rate * scale:.4f}, upper {rep.upper_rate * scale:.4f}, "
-        f"AWGN {rep.awgn * scale:.4f} [{spec.units}/s]"
-    )
+    rates = {"lower": rep.lower_rate, "upper": rep.upper_rate, "AWGN": rep.awgn}
+    print(f"bounds at W={p.W:g}, lambda={p.lam:g}, rho={p.rho:g}: " + ", ".join(
+        f"{name} {rate / LN2:.4f} bits/s ({rate:.4f} nats/s)" for name, rate in rates.items()))
     run = run_chain(p, spec.grid["K"], p.beta / 24.0, rng)
-    db = distortion_bounds(p)
     shift_var = float(np.var(run.report.shift_samples)) if run.report.shift_samples.size else math.nan
     rows = [(
         p.W, p.lam, p.rho, p.k, spec.grid["K"],
         len(run.rx), run.report.n_insertions, run.report.n_deletions,
         shift_var, sigma_S_sq(p, p.sigma_nhat_sq + run.sigma_xt_emp),
-        run.sigma_xt_emp, db.sigma_xt_sq_lo, db.sigma_xt_sq_hi,
+        run.sigma_xt_emp, rep.sdr.sigma_xt_sq_lo, rep.sdr.sigma_xt_sq_hi,
     )]
     header = ["W", "lambda", "rho", "k", "n_tx", "n_rx", "n_insertions", "n_deletions",
               "shift_var", "sigma_S_sq_emp", "sigma_xt_emp", "sigma_xt_sq_lo", "sigma_xt_sq_hi"]
@@ -479,22 +473,18 @@ def run_constants(spec: ExperimentSpec, out: Path) -> list[str]:
     c2 = c2_constant()
 
     c0_oracle = 2.0 * math.pi * (
-        quad_checked(lambda u: g_mag_sq(u, 1.0), math.pi, 4.0 * math.pi, label="c0 head",
-                     epsabs=1e-13)
+        quad_checked(lambda u: g_mag_sq(u, 1.0), math.pi, 4.0 * math.pi, "c0 head")
         + quad_checked(lambda u: 2.0 * math.pi**4 / (u**2 * (math.pi**2 - u**2) ** 2),
-                       4.0 * math.pi, np.inf, label="c0 tail", epsabs=1e-13)
+                       4.0 * math.pi, np.inf, "c0 tail")
         + quad_checked(lambda u: 2.0 * math.pi**4 / (u**2 * (math.pi**2 - u**2) ** 2),
-                       4.0 * math.pi, np.inf, label="c0 tail cos", epsabs=1e-13,
-                       weight="cos", wvar=1.0)
+                       4.0 * math.pi, np.inf, "c0 tail cos", weight="cos", wvar=1.0)
     )
     c2_oracle = (2.0 / math.pi) * (
-        quad_checked(lambda u: u**2 * g_mag_sq(u, 1.0), math.pi, 4.0 * math.pi,
-                     label="c2 head", epsabs=1e-13)
+        quad_checked(lambda u: u**2 * g_mag_sq(u, 1.0), math.pi, 4.0 * math.pi, "c2 head")
         + quad_checked(lambda u: 2.0 * math.pi**4 / (math.pi**2 - u**2) ** 2,
-                       4.0 * math.pi, np.inf, label="c2 tail", epsabs=1e-13)
+                       4.0 * math.pi, np.inf, "c2 tail")
         + quad_checked(lambda u: 2.0 * math.pi**4 / (math.pi**2 - u**2) ** 2,
-                       4.0 * math.pi, np.inf, label="c2 tail cos", epsabs=1e-13,
-                       weight="cos", wvar=1.0)
+                       4.0 * math.pi, np.inf, "c2 tail cos", weight="cos", wvar=1.0)
     )
     # crossing rate of brick-wall noise per unit bandwidth: evaluate the
     # Rice rate with the sinc ACF at W = 1 and compare against 2/sqrt(3)
@@ -574,7 +564,7 @@ _COMMANDS = {
                   {"rho_db": "6,15", "beta_list": "0.5,1,2",
                    "ratio_list": "0.2,0.3,0.5,1.0,1.25", "K": (1000, 1), "dt": 1e-3}),
     "simulate": ("one end-to-end run with match statistics",
-                 {"K": (2000, 1), "dump_crossings": False}),
+                 {"K": (2000, 2), "dump_crossings": False}),
     "constants": ("print c0, c2, and the crossing-rate factor with oracles", {}),
 }
 
@@ -590,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a config value (repeatable)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    parser.add_argument("--units", choices=["bits", "nats"], default="bits")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers for grid subcommands")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -655,8 +644,7 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             raise UsageError(f"sample rate 1/dt = {1.0 / grid['dt']:.3g} is below 2W = "
                              f"ratio/beta = {fastest:.3g}")
     return ExperimentSpec(
-        subcommand=args.subcommand, config=cfg, grid=grid, output_dir=args.out,
-        units=args.units, jobs=args.jobs,
+        subcommand=args.subcommand, config=cfg, grid=grid, output_dir=args.out, jobs=args.jobs,
     )
 
 

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import erf, erfc
+from scipy.special import erf, erfcx
 
 from .bounds import sigma_S_sq
 from .distortion import acf_tail_moment, c1_of_k
@@ -360,7 +360,9 @@ def mean_excursion_duration(params: DerivedParams, sigma_z_sq: float, s2_zz: flo
     """Mean time the total noise spends above the signal level per excursion.
 
     Ratio of the stationary exceedance probability to the up-crossing rate
-    of the level sqrt(P_hat).
+    of the level sqrt(P_hat).  With a = P_hat/(2 sigma_z^2) the ratio carries
+    exp(a) erfc(sqrt(a)), the scaled complementary error function erfcx,
+    which stays finite where exp(a) alone overflows (a > 709).
     """
     if not (s2_zz < 0):
         raise ValueError(f"s2_zz must be negative, got {s2_zz}")
@@ -368,6 +370,5 @@ def mean_excursion_duration(params: DerivedParams, sigma_z_sq: float, s2_zz: flo
     return (
         math.pi
         * math.sqrt(sigma_z_sq / -s2_zz)
-        * math.exp(a)
-        * erfc(math.sqrt(a))
+        * float(erfcx(math.sqrt(a)))
     )

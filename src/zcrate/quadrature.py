@@ -24,26 +24,24 @@ class NumericalError(RuntimeError):
     """Raised when a quadrature fails to reach the requested accuracy."""
 
 
-def quad_checked(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    label: str = "integral",
-    epsabs: float = 1e-12,
-    epsrel: float = 1e-12,
-    limit: int = 200,
-    **kwargs,
-) -> float:
-    """scipy.integrate.quad with the error estimate actually enforced."""
+# QUADPACK tolerances and subinterval limit of every quad_checked call
+_EPSABS = 1e-13
+_EPSREL = 1e-12
+_LIMIT = 200
+
+
+def quad_checked(f: Callable[[float], float], a: float, b: float, label: str,
+                 **kwargs) -> float:
+    """scipy.integrate.quad with the error estimate actually enforced;
+    ``kwargs`` (a ``weight`` and its ``wvar``) pass through to quad."""
     from scipy import integrate
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, abserr = integrate.quad(
-            f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, **kwargs
+            f, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=_LIMIT, **kwargs
         )
-    tol = max(epsabs, abs(value) * epsrel) * 100.0
+    tol = max(_EPSABS, abs(value) * _EPSREL) * 100.0
     if not math.isfinite(value) or abserr > max(tol, 1e-9 * max(1.0, abs(value))):
         raise NumericalError(
             f"{label}: quadrature on [{a}, {b}] did not converge "

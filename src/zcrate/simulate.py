@@ -103,37 +103,30 @@ def _fast_fft_len(n: int) -> int:
 
 
 def synthesize(
-    zcs: ZeroCrossingSeq,
-    params: DerivedParams,
-    dt: float,
-    lead: float | None = None,
-    tail: float | None = None,
+    zcs: ZeroCrossingSeq, params: DerivedParams, dt: float, guard: float
 ) -> SampledWaveform:
     """Map a crossing sequence to the two-level waveform with sine transitions.
 
     Each transition occupies [T_k - beta/2, T_k + beta/2] and the waveform is
     exactly +-sqrt(P_hat) outside transitions.  The signal starts on the +
-    level; ``lead``/``tail`` extend the first/last plateau (guard room for
-    the circular filtering downstream).  ``tail`` is a minimum: the last
-    plateau runs on until the sample count is a 5-smooth FFT length, so the
-    filters downstream never transform a length with a large prime factor.
-    Where two transitions share grid points, the later one sets them.
+    level at t = -guard and runs on at least ``guard`` past the end of the
+    last transition (room for the circular filtering downstream).  At the
+    end the guard is a minimum: the last plateau runs on until the sample
+    count is a 5-smooth FFT length, so the filters downstream never
+    transform a length with a large prime factor.  Where two transitions
+    share grid points, the later one sets them.
     """
     p = params
     beta = p.beta
     if dt > beta / 20.0:
         raise ValueError(f"dt must be <= beta/20 = {beta / 20.0:.3g}, got {dt}")
-    if lead is None:
-        lead = 20.0 * beta
-    if tail is None:
-        tail = 20.0 * beta
     T = zcs.times
     if T.size == 0:
         raise ValueError("empty crossing sequence")
-    if T[0] - beta / 2.0 <= -lead:
-        raise ValueError("first transition does not fit the lead plateau")
-    t_start = -lead
-    n = _fast_fft_len(int(math.ceil((T[-1] + beta / 2.0 + tail + lead) / dt)) + 1)
+    if T[0] - beta / 2.0 <= -guard:
+        raise ValueError("first transition does not fit the guard plateau")
+    t_start = -guard
+    n = _fast_fft_len(int(math.ceil((T[-1] + beta / 2.0 + guard + guard) / dt)) + 1)
     t = t_start + dt * np.arange(n)
     amp = math.sqrt(p.P_hat)
 
@@ -251,7 +244,7 @@ def transmit(
     ``xf + gen_bandlimited_noise(...)``.  With N0 == 0, ``r is xf`` and
     nothing is drawn.
     """
-    x = synthesize(tx, params, dt, lead=guard, tail=guard)
+    x = synthesize(tx, params, dt, guard)
     n = len(x)
     X, m = _lowpass_spectrum(x, W)
     xf = SampledWaveform(np.fft.irfft(X, n), dt, x.t_start)
@@ -641,15 +634,15 @@ class EmpiricalPsd:
     psd: np.ndarray        # W/Hz, two-sided convention (matches the analytic PSD)
 
 
-def empirical_psd(
-    params: DerivedParams, K: int, dt: float, rng: np.random.Generator
-) -> EmpiricalPsd:
-    """Welch periodogram of a K-symbol realization, normalized per unit time."""
+def empirical_psd(params: DerivedParams, K: int, rng: np.random.Generator) -> EmpiricalPsd:
+    """Welch periodogram of a K-symbol realization sampled at dt = beta/20,
+    normalized per unit time."""
     if K < 1000:
         raise ValueError(f"K must be >= 1000 for a stable estimate, got {K}")
     p = params
+    dt = p.beta / 20.0
     tx = sample_input_sequence(p, K, rng)
-    x = synthesize(tx, p, dt, lead=20.0 * p.beta, tail=20.0 * p.beta)
+    x = synthesize(tx, p, dt, 20.0 * p.beta)
     xs = x.window(0.0, tx.times[-1]).samples
     fs = 1.0 / dt
     nperseg = min(1 << 13, xs.size // 8)

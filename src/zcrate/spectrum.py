@@ -16,7 +16,6 @@ in, the same shape out, a numpy float for a scalar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,7 @@ __all__ = [
     "g_mag_sq",
     "correlation_factor",
     "expected_cos",
-    "PsdBounds",
+    "psd_bounds",
     "psd_finite_k",
 ]
 
@@ -95,30 +94,17 @@ def expected_cos(omega: float, n: int, lam: float, beta: float) -> float:
     return r**n * math.cos(n * phase)
 
 
-@dataclass(frozen=True)
-class PsdBounds:
-    """Evaluator pair for the PSD sandwich; both sides even in omega.
+def psd_bounds(omega, params: DerivedParams):
+    """The PSD sandwich (lower, upper); both sides even in omega.
 
     upper(w) = (P_hat/T_avg) (1 + 2 c(w)) |G(w)|^2
     lower(w) = (P_hat/T_avg) |G(w)|^2 / (1 + 2 c(w))
     """
-
-    params: DerivedParams
-
-    def _common(self, omega):
-        p = self.params
-        g = g_mag_sq(omega, p.beta)
-        c = correlation_factor(omega, p.lam)
-        scale = p.P_hat / p.T_avg
-        return g, 1.0 + 2.0 * c, scale
-
-    def upper(self, omega):
-        g, onep2c, scale = self._common(omega)
-        return scale * onep2c * g
-
-    def lower(self, omega):
-        g, onep2c, scale = self._common(omega)
-        return scale * g / onep2c
+    p = params
+    g = g_mag_sq(omega, p.beta)
+    onep2c = 1.0 + 2.0 * correlation_factor(omega, p.lam)
+    scale = p.P_hat / p.T_avg
+    return scale * g / onep2c, scale * onep2c * g
 
 
 def psd_finite_k(omega, params: DerivedParams, K: int = 10**5):

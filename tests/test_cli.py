@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -182,6 +183,8 @@ def test_invalid_grid_exit_code(tmp_path):
     ["k-opt", "--rho-db=3080"],
     ["--set", "W=1e-300", "bounds-sweep"],
     ["--set", "lambda=1e-300", "simulate", "--K", "5"],
+    # the shift variance of simulate needs two symbols
+    ["simulate", "--K", "1"],
 ])
 def test_bad_value_is_usage_error(tmp_path, capsys, args):
     rc = main(["--out", str(tmp_path), *args])
@@ -287,6 +290,28 @@ def test_config_file_and_overrides(tmp_path):
     assert float(row["lambda"]) == 4.0
     assert float(row["rho"]) == 10.0  # --set wins over the file
     assert float(row["k"]) == pytest.approx(0.5)
+
+
+def test_manifest_keys_and_simulate_stdout(tmp_path, capsys):
+    # the hash covers the configuration only: no presentation flag enters it
+    out = tmp_path / "sim"
+    assert main(["--out", str(out), "--seed", "3", "simulate", "--K", "50"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"config_hash", "version", "files", "environment", "subcommand",
+                             "config", "grid", "seed"}
+    printed = capsys.readouterr().out
+    rates = re.findall(r"(lower|upper|AWGN) (\S+) bits/s \((\S+) nats/s\)", printed)
+    assert [name for name, _, _ in rates] == ["lower", "upper", "AWGN"]
+    for _, bits, nats in rates:
+        assert float(bits) == pytest.approx(float(nats) / math.log(2.0), abs=2e-4)
+
+
+def test_excursion_at_large_k_and_snr(tmp_path, capsys):
+    # exp(a) overflows here (a = P_hat/(2 sigma_z^2) > 709)
+    rc = main(["--out", str(tmp_path), "excursion", "--k-list", "1000", "--rho-db", "60"])
+    assert rc == 0 and "Traceback" not in capsys.readouterr().err
+    (row,) = read_rows(tmp_path / "excursion.csv")
+    assert math.isfinite(float(row["tau_over_beta"])) and float(row["tau_over_beta"]) > 0.0
 
 
 def test_crossing_dump_format(tmp_path):

@@ -266,6 +266,19 @@ class TestExcursion:
             math.pi * math.sqrt(0.25 / 4.0), rel=1e-14
         )
 
+    @pytest.mark.parametrize("a", [0.5, 13.0, 700.0, 975.0, 5e4])
+    def test_matches_mpmath_where_exp_overflows(self, a):
+        # tau = pi sqrt(sigma_z^2/-s2_zz) exp(a) erfc(sqrt(a)), a = P_hat/(2 sigma_z^2);
+        # exp(a) alone overflows beyond a = 709
+        mpmath = pytest.importorskip("mpmath")
+        p = params_at(1.0, 10.0)
+        sigma_z_sq = p.P_hat / (2.0 * a)
+        with mpmath.workdps(40):
+            exact = float(mpmath.pi * mpmath.sqrt(mpmath.mpf(sigma_z_sq))
+                          * mpmath.exp(a) * mpmath.erfc(mpmath.sqrt(a)))
+        tau = mean_excursion_duration(p, sigma_z_sq, -1.0)
+        assert tau == pytest.approx(exact, rel=1e-14)
+
     def test_monte_carlo_oracle(self):
         # pure bandlimited noise at the variance predicted for 6 dB, k = 1;
         # measure the mean sojourn above sqrt(P_hat)

@@ -160,7 +160,7 @@ class TestSynthesize:
         p = params_at(1.0, 10.0)
         dt = p.beta / 40.0
         tx = ZeroCrossingSeq(np.array([1.3]), first_rising=False)
-        x = synthesize(tx, p, dt)
+        x = synthesize(tx, p, dt, 20.0 * p.beta)
         rx = extract_crossings(x)
         assert len(rx) == 1
         assert rx.times[0] == pytest.approx(1.3, abs=dt / 2.0)
@@ -170,7 +170,7 @@ class TestSynthesize:
         p = params_at(1.0, 10.0)
         dt = p.beta / 20.0
         tx = sample_input_sequence(p, 50, np.random.default_rng(0))
-        x = synthesize(tx, p, dt)
+        x = synthesize(tx, p, dt, 20.0 * p.beta)
         amp = math.sqrt(p.P_hat)
         assert np.max(np.abs(x.samples)) <= amp + 1e-12
         # exactly +-amp outside transition windows
@@ -185,7 +185,7 @@ class TestSynthesize:
     def test_sign_alternation(self):
         p = params_at(1.0, 10.0)
         tx = sample_input_sequence(p, 21, np.random.default_rng(1))
-        x = synthesize(tx, p, p.beta / 20.0)
+        x = synthesize(tx, p, p.beta / 20.0, 20.0 * p.beta)
         t = x.times()
         mids = (tx.times[:-1] + tx.times[1:]) / 2.0
         idx = np.searchsorted(t, mids)
@@ -196,7 +196,7 @@ class TestSynthesize:
     def test_long_run_power(self):
         p = params_at(1.0, 10.0)
         tx = sample_input_sequence(p, 4000, np.random.default_rng(2))
-        x = synthesize(tx, p, p.beta / 20.0)
+        x = synthesize(tx, p, p.beta / 20.0, 20.0 * p.beta)
         t = x.times()
         mask = (t >= 0.0) & (t <= tx.times[-1])
         power = float(np.mean(x.samples[mask] ** 2))
@@ -206,7 +206,7 @@ class TestSynthesize:
         p = params_at(1.0, 10.0)
         tx = sample_input_sequence(p, 3, np.random.default_rng(3))
         with pytest.raises(ValueError, match="dt"):
-            synthesize(tx, p, p.beta / 10.0)
+            synthesize(tx, p, p.beta / 10.0, 20.0 * p.beta)
 
     @pytest.mark.parametrize("K", [1, 2, 7, 80, 1000])
     @pytest.mark.parametrize("k", [0.5, 2.0])
@@ -215,7 +215,7 @@ class TestSynthesize:
         dt = p.beta / 24.0
         tail = 13.0 * p.beta
         tx = sample_input_sequence(p, K, np.random.default_rng(K))
-        x = synthesize(tx, p, dt, lead=20.0 * p.beta, tail=tail)
+        x = synthesize(tx, p, dt, tail)
         assert is_5_smooth(len(x))
         t = x.times()
         end = tx.times[-1] + p.beta / 2.0
@@ -237,24 +237,24 @@ class TestSynthesize:
         p = params_at([0.25, 0.5, 1.0, 2.0, 4.0, 1.0][seed], 10.0, W=[1.0, 0.7, 2.5][seed % 3])
         tx = sample_input_sequence(p, int(rng.integers(2, 300)), rng)
         dt = p.beta / [20.0, 24.0, 37.3][seed % 3]
-        x = synthesize(tx, p, dt)
+        x = synthesize(tx, p, dt, 20.0 * p.beta)
         ref = synthesize_loop(tx.times, p, x.t_start, dt, len(x))
         assert np.array_equal(x.samples, ref)
 
     def test_matches_loop_single_transition(self):
         p = params_at(1.0, 10.0)
         tx = ZeroCrossingSeq(np.array([0.83]), first_rising=False)
-        x = synthesize(tx, p, p.beta / 24.0)
+        x = synthesize(tx, p, p.beta / 24.0, 20.0 * p.beta)
         assert np.array_equal(x.samples, synthesize_loop(tx.times, p, x.t_start, x.dt, len(x)))
 
     @pytest.mark.parametrize("spacing", [1.0, 0.6])
     def test_matches_loop_where_transitions_touch(self, spacing):
-        """Spacing beta: with dt = 1/64 and a 10 s lead, every shared edge
+        """Spacing beta: with dt = 1/64 and a 10 s guard, every shared edge
         T_k + beta/2 is a grid point written by both transitions.  Spacing
         0.6 beta overlaps them by many samples; the later one must win."""
         p = params_at(1.0, 10.0)  # beta = 0.5
         tx = ZeroCrossingSeq(0.5 + np.cumsum(np.full(9, spacing * p.beta)), first_rising=False)
-        x = synthesize(tx, p, 1.0 / 64.0, lead=10.0)
+        x = synthesize(tx, p, 1.0 / 64.0, 10.0)
         edges = tx.times[:-1] + p.beta / 2.0
         if spacing == 1.0:
             assert np.all(np.isin(edges, x.times()))
@@ -338,7 +338,7 @@ class TestTransmit:
         x, xf, r = transmit(tx, p, p.W, 0.0, dt, rng, guard)
         assert r is xf
         assert rng.bit_generator.state == state  # nothing drawn
-        ref = synthesize(tx, p, dt, lead=guard, tail=guard)
+        ref = synthesize(tx, p, dt, guard)
         assert np.array_equal(x.samples, ref.samples) and x.t_start == ref.t_start
         assert np.array_equal(xf.samples, ideal_lp(ref, p.W).samples)
 
@@ -407,7 +407,7 @@ class TestQuantizeExtract:
         p = params_at(1.0, 10.0)
         dt = p.beta / 24.0
         tx = sample_input_sequence(p, 100, np.random.default_rng(8))
-        x = synthesize(tx, p, dt)
+        x = synthesize(tx, p, dt, 20.0 * p.beta)
         rx = extract_crossings(x)  # unfiltered: crossings sit exactly on T_k
         assert len(rx) == len(tx)
         assert np.max(np.abs(rx.times - tx.times)) < dt
@@ -416,7 +416,7 @@ class TestQuantizeExtract:
         p = params_at(1.0, 10.0)
         dt = p.beta / 24.0
         tx = sample_input_sequence(p, 50, np.random.default_rng(9))
-        q = quantize(synthesize(tx, p, dt))
+        q = quantize(synthesize(tx, p, dt, 20.0 * p.beta))
         rx = extract_crossings(q)
         assert len(rx) == len(tx)
         assert np.max(np.abs(rx.times - tx.times)) <= dt
@@ -453,7 +453,8 @@ class TestQuantizeExtract:
         # changes; the midpoint sits at most dt/2 from the interpolated crossing
         p = params_at(k, 10.0, W=W)
         dt = p.beta / per_beta
-        x = synthesize(sample_input_sequence(p, 30, np.random.default_rng(seed)), p, dt)
+        x = synthesize(sample_input_sequence(p, 30, np.random.default_rng(seed)), p, dt,
+                       20.0 * p.beta)
         fine = extract_crossings(x)
         coarse = extract_crossings(quantize(x))
         assert len(coarse) == len(fine) and coarse.first_rising == fine.first_rising
@@ -553,7 +554,8 @@ class TestEndToEnd:
             p = params_at(k, 10.0)
             dt = p.beta / 20.0
             tx = sample_input_sequence(p, 400, np.random.default_rng(11))
-            rx = extract_crossings(quantize(ideal_lp(synthesize(tx, p, dt), p.W)))
+            x = synthesize(tx, p, dt, 20.0 * p.beta)
+            rx = extract_crossings(quantize(ideal_lp(x, p.W)))
             assert len(rx) == len(tx)  # count always survives
             err = np.abs(np.diff(rx.times) - np.diff(tx.times))
             tol = 2.0 * dt + p.beta / 100.0
@@ -600,7 +602,7 @@ class TestFilteredSlope:
         dt = p.beta / 48.0
         tx = ZeroCrossingSeq(np.array([0.0]), first_rising=False)
         guard = 2000.0 * p.beta  # keeps the circular edge of the FFT filter far off
-        xf = ideal_lp(synthesize(tx, p, dt, lead=guard, tail=guard), p.W)
+        xf = ideal_lp(synthesize(tx, p, dt, guard), p.W)
         si_pi = sici(math.pi)[0]
         expected = -(si_pi / math.pi) * (math.pi * math.sqrt(p.P_hat) / p.beta)
         assert slope_at(xf, tx.times)[0] == pytest.approx(expected, rel=1e-3)
@@ -687,7 +689,7 @@ def ensemble_loop(p, n_time_samples, n_ensemble, rng, guard=40.0):
         txi = sample_input_sequence(p, 80, rng)
         while txi.times[-1] <= probes[-1] + p.beta:
             txi = sample_input_sequence(p, 160, rng)
-        xi = synthesize(txi, p, dt, lead=guard * p.beta, tail=guard * p.beta)
+        xi = synthesize(txi, p, dt, guard * p.beta)
         xti = ideal_lp(xi, p.W).samples - xi.samples
         idx = np.round((probes - xi.t_start) / dt).astype(int)
         vals[:, i] = xti[idx]
@@ -852,7 +854,7 @@ class TestBlockEdge:
         lo, hi = -2.0 * p.beta, tx.times[-1] + 2.0 * p.beta
 
         def window(guard):
-            x = synthesize(tx, p, dt, lead=guard * p.beta, tail=guard * p.beta)
+            x = synthesize(tx, p, dt, guard * p.beta)
             i0, i1 = np.round((np.array([lo, hi]) - x.t_start) / dt).astype(int)
             sl = slice(i0, i1, 4)
             return x.times()[sl], x.samples[sl], ideal_lp(x, p.W).samples[sl]

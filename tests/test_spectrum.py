@@ -9,10 +9,10 @@ from scipy.integrate import quad
 from zcrate.params import ChannelConfig, derive
 from zcrate.spectrum import (
     PoleError,
-    PsdBounds,
     correlation_factor,
     expected_cos,
     g_mag_sq,
+    psd_bounds,
     psd_finite_k,
 )
 
@@ -122,12 +122,11 @@ class TestExpectedCos:
 class TestPsdBounds:
     def setup_method(self):
         self.params = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
-        self.pb = PsdBounds(self.params)
 
     def test_ratio_is_correlation_squared(self):
         rng = np.random.default_rng(6)
         w = rng.uniform(0.05, 30.0, size=40)
-        lo, hi = self.pb.lower(w), self.pb.upper(w)
+        lo, hi = psd_bounds(w, self.params)
         onep2c = 1.0 + 2.0 * correlation_factor(w, self.params.lam)
         assert np.allclose(hi / lo, onep2c**2, rtol=1e-12)
         assert np.all(lo <= hi)
@@ -135,22 +134,22 @@ class TestPsdBounds:
     def test_even_nonnegative(self):
         rng = np.random.default_rng(7)
         w = rng.uniform(0.05, 30.0, size=50)
-        assert np.allclose(self.pb.upper(-w), self.pb.upper(w))
-        assert np.allclose(self.pb.lower(-w), self.pb.lower(w))
-        assert np.all(self.pb.lower(w) >= 0.0)
+        lo, hi = psd_bounds(w, self.params)
+        lo_neg, hi_neg = psd_bounds(-w, self.params)
+        assert np.allclose(hi_neg, hi)
+        assert np.allclose(lo_neg, lo)
+        assert np.all(lo >= 0.0)
 
     def test_pole_propagates(self):
         with pytest.raises(PoleError):
-            self.pb.lower(0.0)
-        with pytest.raises(PoleError):
-            self.pb.upper(0.0)
+            psd_bounds(0.0, self.params)
 
     def test_tail_integrable_and_consistent_with_variance_bound(self):
         # (1/pi) int_2piW^inf upper <= closed-form upper distortion variance
         from zcrate.distortion import distortion_bounds
 
         p = self.params
-        tail, _ = quad(self.pb.upper, 2.0 * math.pi * p.W, np.inf,
+        tail, _ = quad(lambda w: psd_bounds(w, p)[1], 2.0 * math.pi * p.W, np.inf,
                        epsabs=1e-12, limit=400)
         tail /= math.pi
         db = distortion_bounds(p)
@@ -162,7 +161,7 @@ class TestPsdBounds:
         vals = []
         for k in [0.3, 0.7, 1.5, 3.0]:
             p = derive(ChannelConfig(W=W, lam=W / k, rho=10.0))
-            vals.append(PsdBounds(p).upper(2.0 * math.pi * W))
+            vals.append(psd_bounds(2.0 * math.pi * W, p)[1])
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -200,11 +199,11 @@ class TestTruncatedSum:
 
     def test_finite_k_within_bounds(self):
         p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
-        pb = PsdBounds(p)
         w = 2.0 * math.pi * np.linspace(0.05, 3.0, 60)
         fk = psd_finite_k(w, p, 10**5)
-        assert np.all(fk <= pb.upper(w) * (1.0 + 1e-9))
-        assert np.all(fk >= pb.lower(w) * (1.0 - 1e-9))
+        lo, hi = psd_bounds(w, p)
+        assert np.all(fk <= hi * (1.0 + 1e-9))
+        assert np.all(fk >= lo * (1.0 - 1e-9))
 
 
 class TestEmpiricalSandwich:
@@ -213,8 +212,7 @@ class TestEmpiricalSandwich:
         from zcrate.simulate import empirical_psd
 
         p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
-        emp = empirical_psd(p, 10**5, p.beta / 20.0, np.random.default_rng(11))
-        pb = PsdBounds(p)
+        emp = empirical_psd(p, 10**5, np.random.default_rng(11))
         mask = (emp.f >= 0.1 * p.W) & (emp.f <= 2.5 * p.W)
         f, s = emp.f[mask], emp.psd[mask]
         edges = np.linspace(f[0], f[-1], 25)
@@ -225,5 +223,6 @@ class TestEmpiricalSandwich:
                 continue
             w_mid = 2.0 * math.pi * f[m].mean()
             s_mean = s[m].mean()
-            assert s_mean <= pb.upper(w_mid) * (1.0 + eps)
-            assert s_mean >= pb.lower(w_mid) * (1.0 - eps)
+            lo, hi = psd_bounds(w_mid, p)
+            assert s_mean <= hi * (1.0 + eps)
+            assert s_mean >= lo * (1.0 - eps)
