@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr, sici
 
 from .params import (
     ChannelConfig,
@@ -474,47 +473,189 @@ def _census_chunk(p: DerivedParams, K: int, dt: float, rng: np.random.Generator)
     return (hi - lo).astype(int)
 
 
-# Cin(x) = sum_n (-1)^(n+1) x^(2n) / (2n (2n)!), n = 1..8: below x = 0.5 the
-# truncation error is under 2e-16, where gamma + ln x - Ci(x) cancels.
-_CIN_SWITCH = 0.5
-_CIN_SERIES = tuple((-1.0) ** (n + 1) / (2 * n * math.factorial(2 * n))
-                    for n in range(8, 0, -1))  # Horner order
+# Coefficient tables of transition_distortion, fitted with mpmath by
+# tools/fit_transition_kernel.py (a test checks that they equal its output).
+# Near field, |z| < 4: the filtered transition as odd Chebyshev coefficients
+# of T_1(z/4) .. T_23(z/4).  Mid field, 4 <= |z| < 48: P/pi and Q/pi as
+# Chebyshev series in 1/|z| mapped from [1/48, 1/4] onto [-1, 1].  Far field,
+# |z| >= 48: the asymptotic series of P/pi and Q/pi in 1/z^2.
+_KAPPA_MID = 4.0
+_KAPPA_FAR = 48.0
+_KAPPA_COLUMNS = 8  # transition columns per kernel call in lp_distortion_at
+_KAPPA_NEAR = (
+    1.341621951266127,
+    -0.2729810476206912,
+    0.035620108289930084,
+    -0.0025984009301451673,
+    0.00011819670528441592,
+    -3.654010095587238e-06,
+    8.164550019807241e-08,
+    -1.3794395365653184e-09,
+    1.8237778050985788e-11,
+    -1.938206180524994e-13,
+    1.6918160169797755e-15,
+    -1.2345707220803359e-17,
+)
+_KAPPA_MID_P = (
+    0.47508580283574015,
+    -0.0290465864395475,
+    -0.003978939549640629,
+    0.0006830466708918467,
+    -5.7123753825615816e-05,
+    -4.969654454875863e-06,
+    2.839291227165988e-06,
+    -6.190958289417797e-07,
+    7.335818695152967e-08,
+    4.0498821486556615e-09,
+    -5.211316026792288e-09,
+    1.760096351149852e-09,
+    -3.9365568063119046e-10,
+    5.2517319294866966e-11,
+    3.779407569522813e-12,
+    -5.469077930238891e-12,
+    2.274679082095793e-12,
+    -6.672980703643392e-13,
+    1.4481067210071098e-13,
+    -1.705373932389177e-14,
+    -3.800371011080735e-15,
+    3.5457188788747855e-15,
+    -1.5602702023411691e-15,
+    5.192837589099073e-16,
+    -1.3766725274952418e-16,
+    2.6188722950053823e-17,
+)
+_KAPPA_MID_Q = (
+    -0.6913803916635386,
+    0.06525807828246179,
+    0.00571301684900107,
+    -0.0022519670061090964,
+    0.0003089227932823082,
+    -3.816280073315346e-06,
+    -1.0899927694642761e-05,
+    3.5809359831462903e-06,
+    -6.806643968427287e-07,
+    5.366931012863569e-08,
+    1.94279137543114e-08,
+    -1.1351401826294435e-08,
+    3.5414313735327456e-09,
+    -7.649943201640352e-10,
+    8.68098246813724e-11,
+    1.8750690900218952e-11,
+    -1.6281972593275076e-11,
+    6.5929607874565264e-12,
+    -1.963890410007931e-12,
+    4.3566471382178704e-13,
+    -5.0562552624955074e-14,
+    -1.4149590455653843e-14,
+    1.2860574253090106e-14,
+    -5.853582868160252e-15,
+    2.038166233223099e-15,
+    -5.717310949718975e-16,
+    1.1881619981225315e-16,
+    -8.486634819122726e-18,
+    -8.112651878871291e-18,
+    5.93505263269827e-18,
+)
+_KAPPA_FAR_P = (
+    0.5,
+    -1.3387664832879433,
+    15.222902968009327,
+    -458.4290010781858,
+    25668.426559625503,
+    -2310165.951072724,
+    304941889.36430746,
+    -55499423899.45886,
+    13319861735792.732,
+    -4075877691152748.5,
+)
+_KAPPA_FAR_Q = (
+    -0.75,
+    3.774449174795745,
+    -76.42728051211249,
+    3208.531620566589,
+    -231016.6202145471,
+    25411824.080899857,
+    -3964244564.293807,
+    832491358486.9746,
+    -226437649508486.16,
+    7.74416761319022e+16,
+)
 
 
-def _si_cin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Si(x) and Cin(x) = gamma + ln x - Ci(x) for x >= 0 (Abramowitz & Stegun 5.2)."""
-    si, ci = sici(x)
-    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 takes the series
-        cin = np.euler_gamma + np.log(x) - ci
-    small = x < _CIN_SWITCH
-    u = x[small] ** 2
-    acc = np.zeros_like(u)
-    for c in _CIN_SERIES:
-        acc = acc * u + c
-    cin[small] = acc * u
-    return si, cin
+def _clenshaw(coef: tuple[float, ...], y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b_0 and b_1 of the recurrence b_k = c_k + y b_{k+1} - b_{k+2}.
+
+    With y = 2t, sum_k c_k T_k(t) = b_0 - t b_1; with y = 2 T_2(s),
+    sum_k c_k T_{2k+1}(s) = s (b_0 - b_1).
+    """
+    b1 = np.full_like(y, coef[-1])
+    b2 = np.zeros_like(y)
+    tmp = np.empty_like(y)
+    for c in coef[-2::-1]:
+        np.multiply(y, b1, out=tmp)
+        tmp -= b2
+        tmp += c
+        b2, b1, tmp = b1, tmp, b2
+    return b1, b2
+
+
+def _horner(coef: tuple[float, ...], u: np.ndarray) -> np.ndarray:
+    """sum_j coef[j] u^j."""
+    acc = coef[-1] * u
+    for c in coef[-2:0:-1]:
+        acc += c
+        acc *= u
+    acc += coef[0]
+    return acc
 
 
 def transition_distortion(tau: np.ndarray, beta: float) -> np.ndarray:
     """kappa(tau): the brick-wall lowpass output at W = 1/(2 beta) of the unit
     sine transition from -1 to +1 centred on 0, minus the transition itself.
 
-    With z = pi tau/beta, A = z - pi/2 and B = z + pi/2 the filtered
-    transition (1/pi) int_{-pi/2}^{pi/2} cos v Si(z - v) dv integrates by
-    parts to [Si(A) + Si(B)]/pi
-    + [cos z (Cin(2|A|) - Cin(2|B|)) + sin z (Si(2B) - Si(2A))]/(2 pi).
-    The filter is aperiodic: no guard, no grid.
+    With z = pi tau/beta the filtered transition is
+    F(z) = (1/pi) int_{-pi/2}^{pi/2} cos v Si(z - v) dv, so kappa is
+    F(z) - sin(clip(z, -pi/2, pi/2)).  For |z| >= 4 it is exactly
+    (sin z Q(|z|)/z - cos z P(|z|)) / (pi z), where P and Q are smooth and
+    do not oscillate (see tools/fit_transition_kernel.py); they come from
+    Chebyshev series in 1/|z| below |z| = 48 and from their asymptotic series
+    in 1/z^2 above.  Below |z| = 4, F comes from its odd Chebyshev series.
+    Each point costs one sin/cos pair and at most two short series; the
+    error is about 1e-16 absolute.  The filter is aperiodic: no guard, no
+    grid.
     """
     z = (math.pi / beta) * np.asarray(tau, dtype=float)
-    a = z - 0.5 * math.pi
-    b = z + 0.5 * math.pi
-    si_2a, cin_2a = _si_cin(2.0 * np.abs(a))
-    si_2b, cin_2b = _si_cin(2.0 * np.abs(b))
-    filtered = (sici(a)[0] + sici(b)[0]) / math.pi + (
-        np.cos(z) * (cin_2a - cin_2b)
-        + np.sin(z) * (np.copysign(si_2b, b) - np.copysign(si_2a, a))
-    ) / (2.0 * math.pi)
-    return filtered - np.sin(np.clip(z, -0.5 * math.pi, 0.5 * math.pi))
+    zf = z.ravel()
+    x = np.abs(zf)
+    # the far series run on every point; the near field, where 1/z can
+    # overflow, is overwritten below
+    with np.errstate(all="ignore"):
+        w = 1.0 / zf
+        u = w * w
+        p = _horner(_KAPPA_FAR_P, u)
+        q = _horner(_KAPPA_FAR_Q, u)
+        inner = np.flatnonzero(x < _KAPPA_FAR)
+        near = x[inner] < _KAPPA_MID
+        mid = inner[~near]
+        if mid.size:
+            lo, hi = 1.0 / _KAPPA_FAR, 1.0 / _KAPPA_MID
+            t = (2.0 / (hi - lo)) * (1.0 / x[mid]) - (hi + lo) / (hi - lo)
+            b0, b1 = _clenshaw(_KAPPA_MID_P, 2.0 * t)
+            p[mid] = b0 - t * b1
+            b0, b1 = _clenshaw(_KAPPA_MID_Q, 2.0 * t)
+            q[mid] = b0 - t * b1
+        out = np.sin(zf)
+        out *= q
+        out *= w
+        out -= np.cos(zf) * p
+        out *= w
+    near = inner[near]
+    if near.size:
+        zn = zf[near]
+        s = 0.25 * zn
+        b0, b1 = _clenshaw(_KAPPA_NEAR, 4.0 * s * s - 2.0)
+        out[near] = s * (b0 - b1) - np.sin(np.clip(zn, -0.5 * math.pi, 0.5 * math.pi))
+    return out.reshape(z.shape)
 
 
 def lp_distortion_at(t: np.ndarray, T: np.ndarray, params: DerivedParams) -> np.ndarray:
@@ -532,13 +673,15 @@ def lp_distortion_at(t: np.ndarray, T: np.ndarray, params: DerivedParams) -> np.
     t = np.asarray(t, dtype=float)[:, None]
     T = np.asarray(T, dtype=float)
     acc = np.zeros((t.shape[0], T.shape[0]))
-    # one transition column at a time keeps the memory at O(len(t) * rows)
-    for k in range(T.shape[1]):
-        kappa = transition_distortion(t - T[:, k], p.beta)
-        if k % 2 == 0:
-            acc -= kappa
-        else:
-            acc += kappa
+    # a few transition columns per kernel call keep the memory at
+    # O(len(t) * rows); the sum still takes them one at a time, in order
+    for k0 in range(0, T.shape[1], _KAPPA_COLUMNS):
+        kappa = transition_distortion(t - T[:, k0:k0 + _KAPPA_COLUMNS].T[:, None, :], p.beta)
+        for k, kappa_k in enumerate(kappa, k0):
+            if k % 2 == 0:
+                acc -= kappa_k
+            else:
+                acc += kappa_k
     return math.sqrt(p.P_hat) * acc
 
 
@@ -594,7 +737,8 @@ def lp_distortion_stats(
     hist_counts, hist_edges = np.histogram(xt, bins=n_bins, range=(lo, hi))
     p_mass = hist_counts / hist_counts.sum()
     sd = math.sqrt(var_time)
-    cdf = ndtr((hist_edges - mean_time) / sd)
+    cdf = np.array([0.5 * math.erfc(-e / math.sqrt(2.0))  # the standard normal CDF
+                    for e in (hist_edges - mean_time) / sd])
     q_mass = np.maximum(np.diff(cdf), 1e-300)
     nz = p_mass > 0
     kl = float(np.sum(p_mass[nz] * np.log(p_mass[nz] / q_mass[nz])))
@@ -646,12 +790,17 @@ def empirical_psd(params: DerivedParams, K: int, rng: np.random.Generator) -> Em
     xs = x.window(0.0, tx.times[-1]).samples
     fs = 1.0 / dt
     nperseg = min(1 << 13, xs.size // 8)
-    from scipy.signal import welch  # imported here: it is slow to import and used only here
-
-    f, pxx = welch(
-        xs - xs.mean(), fs=fs, window="hann", nperseg=nperseg, detrend=False
-    )
-    return EmpiricalPsd(f=f[1:], psd=pxx[1:] / 2.0)
+    # Welch: periodic Hann segments overlapping by half, the mean of their
+    # |rfft|^2 in density scaling (scipy.signal.welch's defaults)
+    win = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
+    segs = np.lib.stride_tricks.sliding_window_view(xs - xs.mean(), nperseg)
+    spec = np.fft.rfft(segs[::nperseg - nperseg // 2] * win, axis=1)
+    psd = np.mean(spec.real**2 + spec.imag**2, axis=0) / (fs * np.sum(win**2))
+    # two-sided density: a one-sided Welch doubles every bin but DC and an
+    # even-length Nyquist bin, and the two-sided one halves that again
+    if nperseg % 2 == 0:
+        psd[-1] /= 2.0
+    return EmpiricalPsd(f=np.fft.rfftfreq(nperseg, dt)[1:], psd=psd[1:])
 
 
 @dataclass(frozen=True)

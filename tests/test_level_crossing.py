@@ -213,9 +213,9 @@ class TestVarianceCrossings:
         p = params_at(1.0, 10.0)
         psi, psip, T = transition_curve(p)
         v = variance_curve_crossings(psi, psip, T, AcfModel.total(p, "upper"))
-        assert v.variance == pytest.approx(0.004279691924236638, rel=1e-14)
-        assert v.expectation == pytest.approx(0.9986139681388198, rel=1e-14)
-        assert v.excluded_mass == pytest.approx(5.518190858249675e-08, rel=1e-14)
+        assert v.variance == pytest.approx(0.004279691924236638, rel=1e-14, abs=1e-12)
+        assert v.expectation == pytest.approx(0.9986139681388198, rel=1e-14, abs=1e-12)
+        assert v.excluded_mass == pytest.approx(5.518190858249675e-08, rel=1e-14, abs=1e-12)
 
     def test_variance_vanishes_at_high_snr(self):
         p = params_at(1.0, 40.0)

@@ -207,6 +207,24 @@ class TestTruncatedSum:
 
 
 class TestEmpiricalSandwich:
+    @pytest.mark.parametrize("K", [1000, 1001])  # segment lengths 7616 and 7619
+    def test_periodogram_matches_scipy_welch(self, K):
+        from scipy.signal import welch
+
+        from zcrate.params import sample_input_sequence
+        from zcrate.simulate import empirical_psd, synthesize
+
+        p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
+        emp = empirical_psd(p, K, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        tx = sample_input_sequence(p, K, rng)
+        xs = synthesize(tx, p, p.beta / 20.0, 20.0 * p.beta).window(0.0, tx.times[-1]).samples
+        f, pxx = welch(xs - xs.mean(), fs=20.0 / p.beta, window="hann",
+                       nperseg=min(1 << 13, xs.size // 8), detrend=False)
+        assert np.array_equal(emp.f, f[1:])
+        # one-sided to two-sided; the FFTs differ in the last digits
+        assert np.max(np.abs(emp.psd - pxx[1:] / 2.0)) <= 1e-13 * np.max(pxx)
+
     def test_periodogram_between_bounds(self):
         # simulator periodogram at K = 1e5 symbols, coarse-binned away from DC
         from zcrate.simulate import empirical_psd
