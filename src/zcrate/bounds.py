@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distortion import DistortionBounds, distortion_bounds
-from .params import ChannelConfig, DerivedParams, awgn_capacity, derive
+from .params import DerivedParams, awgn_capacity, derive
 from .quadrature import NumericalError, gauss_legendre, log_sine_integral
 
 __all__ = [
@@ -215,7 +215,7 @@ def bound_report(params: DerivedParams) -> BoundReport:
         nu=nu,
         sigma_S_sq=s_sq_lo,
         sdr=db,
-        awgn=awgn_capacity(p),
+        awgn=awgn_capacity(p.W, p.rho),
         clamped=lower_raw < 0.0,
     )
 
@@ -226,11 +226,11 @@ def delta_offset(k: float, rho: float) -> float:
     Equals ln[W ln(1+rho) / lower_rate_raw] at W = k, lam = 1; +inf where the
     unclamped lower bound is nonpositive (the offset is undefined there).
     """
-    p = derive(ChannelConfig(W=k, lam=1.0, rho=rho))
+    p = derive(k, 1.0, rho)
     lower_raw = _lower_bound(p, distortion_bounds(p))[3]
     if lower_raw <= 0.0:
         return math.inf
-    return math.log(awgn_capacity(p) / lower_raw)
+    return math.log(awgn_capacity(k, rho) / lower_raw)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -286,5 +286,5 @@ def high_snr_limit(k: float, W: float) -> float:
     only the lowpass distortion remains; exactly linear in W."""
     if k <= 0 or W <= 0:
         raise ValueError("k and W must be positive")
-    p = replace(derive(ChannelConfig(W, W / k, 1.0)), rho=math.inf, N0=0.0, sigma_nhat_sq=0.0)
+    p = replace(derive(W, W / k, 1.0), rho=math.inf, N0=0.0, sigma_nhat_sq=0.0)
     return _lower_bound(p, distortion_bounds(p))[3]

@@ -44,7 +44,7 @@ from .level_crossing import (
     transition_curve,
     variance_curve_crossings,
 )
-from .params import ChannelConfig, DerivedParams, derive
+from .params import DerivedParams, derive
 from .quadrature import NumericalError, quad_checked
 from .simulate import (
     deletion_census,
@@ -122,7 +122,7 @@ def _params(cfg: dict, k: float | None = None, rho_db: float | None = None) -> D
     lam = cfg["lambda"] if k is None else cfg["W"] / k
     rho = cfg["rho"] if rho_db is None else 10.0 ** (rho_db / 10.0)
     try:
-        return derive(ChannelConfig(W=cfg["W"], lam=lam, rho=rho, P_hat=cfg["P_hat"]))
+        return derive(cfg["W"], lam, rho, cfg["P_hat"])
     except ValueError as exc:
         where = "config" if k is None else f"k = {k:g}"
         if rho_db is not None:
@@ -527,6 +527,9 @@ def run(spec: ExperimentSpec) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure in {spec.subcommand}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory in {spec.subcommand}: {exc}", file=sys.stderr)
         return 1
     write_manifest(spec, out, files)
     print(f"{spec.subcommand}: wrote {', '.join(files)} to {out}")

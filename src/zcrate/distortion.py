@@ -31,12 +31,11 @@ from scipy.special import sici
 
 from .params import DerivedParams
 from .quadrature import NumericalError, gauss_legendre
-from .spectrum import g_mag_sq
+from .spectrum import correlation_factor, g_mag_sq
 
 __all__ = [
     "c0_constant",
     "c2_constant",
-    "c1_of_k",
     "DistortionBounds",
     "distortion_bounds",
     "acf_tail_moment",
@@ -67,13 +66,6 @@ def c2_constant() -> float:
     return float(
         math.pi**2 - gamma - math.log(2.0 * math.pi) - math.pi * si_2pi + ci_2pi
     )
-
-
-def c1_of_k(k: float) -> float:
-    """Correlation factor at the band edge, c1 = c(2 pi W), as a function of k."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    return 1.0 / (math.sqrt(1.0 + 4.0 * math.pi**2 * k**2) - 1.0)
 
 
 # Distinct (m, r, kind) arguments kept by the moment cache.  A grid point of
@@ -215,7 +207,8 @@ class DistortionBounds:
 
 def distortion_bounds(params: DerivedParams) -> DistortionBounds:
     p = params
-    c1 = c1_of_k(p.k)
+    # band-edge correlation factor c(2 pi W; lam) = c(2 pi k; 1)
+    c1 = float(correlation_factor(2.0 * math.pi * p.k, 1.0))
     c0 = c0_constant()
     c2 = c2_constant()
     base = p.P_hat * p.beta * c0 / (2.0 * p.T_avg * math.pi**2)

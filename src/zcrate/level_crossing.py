@@ -26,9 +26,10 @@ import numpy as np
 from scipy.special import erf, erfcx
 
 from .bounds import sigma_S_sq
-from .distortion import acf_tail_moment, c1_of_k
+from .distortion import acf_tail_moment
 from .params import DerivedParams
 from .quadrature import gauss_legendre
+from .spectrum import correlation_factor
 
 __all__ = [
     "AcfModel",
@@ -167,7 +168,7 @@ class AcfModel:
         curvature bounds at lag 0; which='lower' the opposite pairing.
         """
         p = params
-        c1 = c1_of_k(p.k)
+        c1 = float(correlation_factor(2.0 * math.pi * p.k, 1.0))
         factor = (1.0 + 2.0 * c1) if which == "upper" else 1.0 / (1.0 + 2.0 * c1)
         if which not in ("upper", "lower"):
             raise ValueError(f"which must be 'upper' or 'lower', got {which!r}")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ChannelConfig",
     "DerivedParams",
     "ZeroCrossingSeq",
     "derive",
@@ -28,39 +27,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    """User-facing channel parameters.
-
-    W      : one-sided channel bandwidth in Hz
-    lam    : rate parameter of the exponential spacing tail, 1/s
-    rho    : linear SNR, defined against the average power of the
-             unfiltered transmit signal (rho = P / (N0 W))
-    P_hat  : peak power of the transmit signal, W
-    """
-
-    W: float
-    lam: float
-    rho: float
-    P_hat: float = 1.0
-
-    def validate(self) -> None:
-        _require_positive_finite(self, ("W", "lam", "rho", "P_hat"))
-
-
-def _require_positive_finite(obj, names: tuple[str, ...], prefix: str = "") -> None:
-    for name in names:
-        value = getattr(obj, name)
+def _require_positive_finite(values: dict[str, float], prefix: str = "") -> None:
+    for name, value in values.items():
         if not (value > 0) or not math.isfinite(value):
             raise ValueError(f"{prefix}{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Everything directly computable from a :class:`ChannelConfig`.
+    """The channel parameters and every scalar derived from them.
 
-    The raw config values (W, lam, rho, P_hat) are carried along so that
-    downstream operations only ever need this one object.
+    W      : one-sided channel bandwidth in Hz
+    lam    : rate parameter of the exponential spacing tail, 1/s
+    rho    : linear SNR, defined against the average power of the
+             unfiltered transmit signal (rho = P / (N0 W))
+    P_hat  : peak power of the transmit signal, W
+
+    Downstream operations only ever need this one object.
     """
 
     W: float
@@ -76,14 +59,14 @@ class DerivedParams:
     k: float             # bandwidth-to-rate ratio W/lam
 
 
-def derive(config: ChannelConfig) -> DerivedParams:
-    """Populate all derived scalars from a validated config.
+def derive(W: float, lam: float, rho: float, P_hat: float = 1.0) -> DerivedParams:
+    """Check the four channel parameters and populate all derived scalars.
 
-    Raises ValueError naming a derived scalar that leaves the positive finite
-    floats, as extreme but valid configs can make it.
+    Raises ValueError naming a parameter that is not a positive finite
+    number, or a derived scalar that leaves the positive finite floats, as
+    extreme but valid parameters can make it.
     """
-    config.validate()
-    W, lam, rho, P_hat = config.W, config.lam, config.rho, config.P_hat
+    _require_positive_finite({"W": W, "lam": lam, "rho": rho, "P_hat": P_hat})
     beta = 1.0 / (2.0 * W)
     T_avg = 1.0 / lam + beta
     k = W / lam
@@ -110,9 +93,7 @@ def derive(config: ChannelConfig) -> DerivedParams:
         sigma_nhat_sq=N0 * W,
         k=k,
     )
-    _require_positive_finite(
-        params, ("beta", "T_avg", "sigma_A_sq", "P", "N0", "sigma_nhat_sq", "k"), "derived "
-    )
+    _require_positive_finite(vars(params), "derived ")
     return params
 
 
@@ -173,13 +154,13 @@ def _draw_spacings(
     return params.beta + rng.exponential(1.0 / params.lam, size=size)
 
 
-def awgn_capacity(config: ChannelConfig | DerivedParams) -> float:
+def awgn_capacity(W: float, rho: float) -> float:
     """Unquantized AWGN capacity W*ln(1+rho) in nats/s.
 
     rho = 0 is permitted here (and only here) as the zero-rate boundary.
     """
-    if not (config.W > 0):
-        raise ValueError(f"W must be positive, got {config.W!r}")
-    if config.rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {config.rho!r}")
-    return config.W * math.log1p(config.rho)
+    if not (W > 0):
+        raise ValueError(f"W must be positive, got {W!r}")
+    if rho < 0:
+        raise ValueError(f"rho must be nonnegative, got {rho!r}")
+    return W * math.log1p(rho)

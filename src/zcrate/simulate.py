@@ -1,10 +1,13 @@
 """Waveform-level Monte-Carlo engine.
 
 Synthesizes the alternating transmit signal on a fine grid, applies ideal
-brick-wall lowpass filtering, adds bandlimited Gaussian noise, quantizes to
-one bit, extracts zero-crossings, and aligns transmitted against received
-crossings to count insertions and deletions.  Everything is driven by an
-explicit numpy Generator so trials are reproducible and parallelizable.
+brick-wall lowpass filtering, adds bandlimited Gaussian noise, extracts
+zero-crossings, and aligns transmitted against received crossings to count
+insertions and deletions.  The chains place each crossing by interpolating
+the unquantized received signal; the 1-bit receiver,
+``extract_crossings(quantize(r))``, sees the same sign changes and puts each
+at the midpoint of its sample step.  Everything is driven by an explicit
+numpy Generator so trials are reproducible and parallelizable.
 
 Conventions: transitions are centered on the nominal crossing instants, so
 the noise-free waveform crosses zero exactly at the times of the input
@@ -20,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .params import (
-    ChannelConfig,
     DerivedParams,
     ZeroCrossingSeq,
     _draw_spacings,
@@ -842,7 +844,7 @@ def deletion_census(
     # 1/(2 (1/(2 beta))), can land an ulp off the beta given; keep the given
     # one so that a dt of exactly beta/20 stays inside synthesize's limit.
     p_sig = replace(
-        derive(ChannelConfig(W=1.0 / (2.0 * beta), lam=lam, rho=rho, P_hat=P_hat)),
+        derive(1.0 / (2.0 * beta), lam, rho, P_hat),
         beta=beta,
     )
     N0 = p_sig.P / (rho * W)

@@ -43,7 +43,7 @@ from zcrate.level_crossing import (
     transition_curve,
     variance_curve_crossings,
 )
-from zcrate.params import ChannelConfig, derive
+from zcrate.params import derive
 from zcrate.simulate import (
     deletion_census,
     gen_bandlimited_noise,
@@ -55,7 +55,7 @@ from zcrate.spectrum import g_mag_sq
 
 
 def params_at(k: float, rho_db: float, W: float = 1.0):
-    return derive(ChannelConfig(W=W, lam=W / k, rho=10.0 ** (rho_db / 10.0)))
+    return derive(W=W, lam=W / k, rho=10.0 ** (rho_db / 10.0))
 
 
 def report(n: int, name: str, ok: bool, detail: str) -> None:
@@ -140,7 +140,7 @@ def test_criterion_04_sandwich_and_saturation():
     lows, ups = [], []
     Ws = np.geomspace(0.1, 1e5, 31)
     for W in Ws:
-        rep = bound_report(derive(ChannelConfig(W=W, lam=1.0, rho=10.0)))
+        rep = bound_report(derive(W=W, lam=1.0, rho=10.0))
         lows.append(rep.lower_rate)
         ups.append(rep.upper_rate)
     lows, ups = np.array(lows), np.array(ups)

@@ -7,6 +7,8 @@ benchmark run does.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +37,22 @@ def test_workload_checks_pass(tmp_path, name, seed):
         assert main(["--out", str(tmp_path / sub), "--seed", str(seed), *args]) == 0, args
     failed = [f"{c.label}: {c.detail}" for c in workload.check(tmp_path) if not c.ok]
     assert failed == []
+
+
+def test_tracer_binds_every_hook():
+    # benchmarks/tracing.py rebinds its targets by name and raises when one is
+    # gone, and one_pass.py reads zcrate.cli.__version__.  install() rebinds
+    # module globals, so it runs in an interpreter of its own.
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from tracing import Tracer\n"
+        "Tracer().install()\n"
+        "import zcrate.cli\n"
+        "assert zcrate.cli.__version__ == '0.1.0', zcrate.cli.__version__\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(root / "benchmarks")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert done.returncode == 0, done.stderr

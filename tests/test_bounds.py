@@ -20,9 +20,10 @@ from zcrate.bounds import (
     waterfill_nu,
     waterfill_residual,
 )
-from zcrate.distortion import c0_constant, c1_of_k, c2_constant, distortion_bounds
-from zcrate.params import ChannelConfig, derive
+from zcrate.distortion import c0_constant, c2_constant, distortion_bounds
+from zcrate.params import derive
 from zcrate.quadrature import NumericalError
+from zcrate.spectrum import correlation_factor
 
 
 def arcosh_quadrature(a: float) -> float:
@@ -38,7 +39,7 @@ def arcosh_quadrature(a: float) -> float:
 def high_snr_limit_closed_form(k: float, W: float) -> float:
     """The rho -> inf lower bound written out in (k, W): the N0 -> 0 limit of
     genie rate minus side-information rate, with c0, c1 and c2 substituted."""
-    c1 = c1_of_k(k)
+    c1 = correlation_factor(2.0 * math.pi * k, 1.0)
     c0 = c0_constant()
     c2 = c2_constant()
     onep2c1 = 1.0 + 2.0 * c1
@@ -55,15 +56,15 @@ def high_snr_limit_closed_form(k: float, W: float) -> float:
 
 class TestSigmaS:
     def test_unit_case(self):
-        p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
+        p = derive(W=1.0, lam=1.0, rho=10.0)
         assert sigma_S_sq(p, 4.0 * math.pi**2 * p.W**2 * p.P_hat) == pytest.approx(1.0)
 
     def test_linear_scaling(self):
-        p = derive(ChannelConfig(W=2.0, lam=1.0, rho=10.0))
+        p = derive(W=2.0, lam=1.0, rho=10.0)
         assert sigma_S_sq(p, 0.6) == pytest.approx(3.0 * sigma_S_sq(p, 0.2), rel=1e-15)
 
     def test_arcosh_argument_identity(self):
-        p = derive(ChannelConfig(W=1.7, lam=0.6, rho=12.0))
+        p = derive(W=1.7, lam=0.6, rho=12.0)
         db = distortion_bounds(p)
         lhs = 2.0 * math.pi**2 * p.W**2 * p.P_hat / (db.sigma_z_sq_hi * p.lam**2)
         rhs = 1.0 / (2.0 * sigma_S_sq(p, db.sigma_z_sq_hi) * p.lam**2)
@@ -87,7 +88,7 @@ class TestArcoshIntegral:
 
 class TestRiceMu:
     def setup_method(self):
-        self.p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
+        self.p = derive(W=1.0, lam=1.0, rho=10.0)
 
     def test_high_peak_limit(self):
         big = replace(self.p, P_hat=1e6)
@@ -134,15 +135,15 @@ class TestHvk:
 class TestGenieLower:
     def test_bandwidth_scaling(self):
         # doubling W at fixed k and rho doubles the rate
-        p1 = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
-        p2 = derive(ChannelConfig(W=2.0, lam=2.0, rho=10.0))
+        p1 = derive(W=1.0, lam=1.0, rho=10.0)
+        p2 = derive(W=2.0, lam=2.0, rho=10.0)
         db1, db2 = distortion_bounds(p1), distortion_bounds(p2)
         r1 = genie_lower_rate(p1, db1.sigma_z_sq_hi)
         r2 = genie_lower_rate(p2, db2.sigma_z_sq_hi)
         assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
 
     def test_decomposition_identity(self):
-        p = derive(ChannelConfig(W=1.3, lam=0.9, rho=15.0))
+        p = derive(W=1.3, lam=0.9, rho=15.0)
         db = distortion_bounds(p)
         arg = 2.0 * math.pi**2 * p.W**2 * p.P_hat / (db.sigma_z_sq_hi * p.lam**2)
         direct = (
@@ -152,21 +153,21 @@ class TestGenieLower:
         assert genie_lower_rate(p, db.sigma_z_sq_hi) == pytest.approx(direct, rel=1e-12)
 
     def test_fast_symbols_go_negative(self):
-        p = derive(ChannelConfig(W=1.0, lam=1e5, rho=10.0))
+        p = derive(W=1.0, lam=1e5, rho=10.0)
         db = distortion_bounds(p)
         assert genie_lower_rate(p, db.sigma_z_sq_hi) < 0.0
 
 
 class TestLowerBound:
     def test_high_snr_convergence(self):
-        p = derive(ChannelConfig(W=1.0, lam=1.0 / 0.7, rho=10.0**6))
+        p = derive(W=1.0, lam=1.0 / 0.7, rho=10.0**6)
         rep = bound_report(p)
         limit = high_snr_limit(0.7, p.W)
         assert rep.lower_rate / (2.0 * p.W) == pytest.approx(limit / (2.0 * p.W), rel=0.01)
 
     def test_scale_invariance(self):
-        rep1 = bound_report(derive(ChannelConfig(W=1.0, lam=1.0, rho=20.0)))
-        rep2 = bound_report(derive(ChannelConfig(W=10.0, lam=10.0, rho=20.0)))
+        rep1 = bound_report(derive(W=1.0, lam=1.0, rho=20.0))
+        rep2 = bound_report(derive(W=10.0, lam=10.0, rho=20.0))
         assert rep2.lower_rate == pytest.approx(10.0 * rep1.lower_rate, rel=1e-10)
         assert rep2.upper_rate == pytest.approx(10.0 * rep1.upper_rate, rel=1e-10)
         assert rep2.genie_lower == pytest.approx(10.0 * rep1.genie_lower, rel=1e-10)
@@ -174,14 +175,14 @@ class TestLowerBound:
         assert rep2.awgn == pytest.approx(10.0 * rep1.awgn, rel=1e-10)
 
     def test_small_k_clamps_to_zero(self):
-        p = derive(ChannelConfig(W=0.05, lam=1.0, rho=10.0 ** 1.5))
+        p = derive(W=0.05, lam=1.0, rho=10.0 ** 1.5)
         rep = bound_report(p)
         assert rep.clamped
         assert rep.lower_rate == 0.0
         assert rep.lower_rate_raw < 0.0
 
     def test_decomposition_inequality(self):
-        p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
+        p = derive(W=1.0, lam=1.0, rho=10.0)
         rep = bound_report(p)
         assert rep.lower_rate_raw == pytest.approx(rep.genie_lower - rep.h_v_rate, rel=1e-14)
         assert rep.lower_rate_raw <= rep.genie_lower
@@ -226,13 +227,13 @@ class TestUpperBound:
         for rho_db in (10.0, 20.0, 30.0, 40.0):
             rho = 10.0 ** (rho_db / 10.0)
             for k in np.geomspace(0.2, 5.0, 12):
-                rep = bound_report(derive(ChannelConfig(W=1.0, lam=1.0 / k, rho=rho)))
+                rep = bound_report(derive(W=1.0, lam=1.0 / k, rho=rho))
                 assert rep.lower_rate <= rep.upper_rate + 1e-12
                 assert rep.lower_rate <= rep.awgn + 1e-12
 
     def test_upper_grows_without_bound_in_W(self):
         ups = [
-            bound_report(derive(ChannelConfig(W=W, lam=1.0, rho=10.0))).upper_rate
+            bound_report(derive(W=W, lam=1.0, rho=10.0)).upper_rate
             for W in (1.0, 10.0, 100.0, 1000.0)
         ]
         assert all(b > a for a, b in zip(ups, ups[1:]))
@@ -243,7 +244,7 @@ class TestOffsetAndLimit:
         # the offset is a pure function of (k, rho): both rates scale with W
         k, rho = 0.8, 100.0
         for W in (0.5, 2.0, 50.0):
-            p = derive(ChannelConfig(W=W, lam=W / k, rho=rho))
+            p = derive(W=W, lam=W / k, rho=rho)
             rep = bound_report(p)
             assert math.log(rep.awgn / rep.lower_rate) == pytest.approx(
                 delta_offset(k, rho), rel=1e-10
@@ -290,7 +291,8 @@ class TestOffsetAndLimit:
             mu_g = (
                 2.0 * k * math.sqrt(c2_constant() / c0_constant())
                 * math.exp(-math.pi**2 * (1.0 + 2.0 * k)
-                           / ((1.0 + 2.0 * c1_of_k(k)) * c0_constant()))
+                           / ((1.0 + 2.0 * correlation_factor(2.0 * math.pi * k, 1.0))
+                              * c0_constant()))
                 + 1.0
             )
             assert mu_g >= 1.0
@@ -303,8 +305,8 @@ class TestSaturation:
     def test_snr_saturation_and_onset(self):
         # <1% movement between 50 and 70 dB at fixed (W, lam)
         for k in (1.0, 2.0):
-            r50 = bound_report(derive(ChannelConfig(1.0, 1.0 / k, 10.0**5)))
-            r70 = bound_report(derive(ChannelConfig(1.0, 1.0 / k, 10.0**7)))
+            r50 = bound_report(derive(1.0, 1.0 / k, 10.0**5))
+            r70 = bound_report(derive(1.0, 1.0 / k, 10.0**7))
             assert abs(r70.lower_rate / r50.lower_rate - 1.0) < 0.01
             assert abs(r70.upper_rate / r50.upper_rate - 1.0) < 0.01
 
@@ -314,7 +316,7 @@ class TestSaturation:
         for k in (1.0, 2.0):
             rhos_db = np.arange(0.0, 51.0, 1.0)
             vals = np.array([
-                bound_report(derive(ChannelConfig(1.0, 1.0 / k, 10.0 ** (r / 10.0)))).lower_rate
+                bound_report(derive(1.0, 1.0 / k, 10.0 ** (r / 10.0))).lower_rate
                 for r in rhos_db
             ])
             slopes = np.diff(vals)
@@ -322,14 +324,14 @@ class TestSaturation:
             onset = next(
                 rhos_db[i] for i in range(7, len(slopes)) if slopes[i] <= 0.5 * ref
             )
-            db = distortion_bounds(derive(ChannelConfig(1.0, 1.0 / k, 10.0)))
+            db = distortion_bounds(derive(1.0, 1.0 / k, 10.0))
             sdr_db = 10.0 * math.log10(db.sdr_lo)
             assert abs(onset - sdr_db) <= 10.0 * math.log10(4.0)
 
     def test_gap_closes_with_k(self):
         gaps = []
         for k in (0.5, 1.0, 2.0):
-            p = derive(ChannelConfig(1.0, 1.0 / k, 10.0**3))
+            p = derive(1.0, 1.0 / k, 10.0**3)
             rep = bound_report(p)
             gaps.append((rep.upper_rate - rep.lower_rate) / (2.0 * p.W))
         assert gaps[0] > gaps[1] > gaps[2]

@@ -214,6 +214,33 @@ def test_k_opt_minimum_beyond_the_bracket_is_numerical_failure(tmp_path, capsys)
     assert not (tmp_path / "k_opt.csv").exists()
 
 
+def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
+    # lp-distortion at k = 1e9 would ask numpy for terabytes; fake the refusal
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 13.6 TiB")
+
+    monkeypatch.setattr(zcrate.cli, "lp_distortion_stats", refuse)
+    rc = main(["--out", str(tmp_path), "lp-distortion", "--k-list", "1e9", "--n-time", "2",
+               "--n-ensemble", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("out of memory in lp-distortion:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "lp_distortion.csv").exists()
+
+
+def test_bounds_sweep_at_tiny_k(tmp_path):
+    # below k = 1.7e-9 the band-edge correlation factor must not cancel to 1/0
+    rc = main(["--out", str(tmp_path), "bounds-sweep", "--k-min", "1e-9", "--k-max", "1e-8",
+               "--k-points", "2"])
+    assert rc == 0
+    rows = read_rows(tmp_path / "bounds_sweep.csv")
+    assert len(rows) == 6
+    for row in rows:
+        assert row["clamped_flag"] == "1" and float(row["lower_bits_s"]) == 0.0
+        assert 0.0 < float(row["upper_bits_s"]) < float(row["awgn_bits_s"])
+
+
 def test_deletions_dt_at_the_beta_limit(tmp_path):
     # 1/(2 (1/(2 beta))) is an ulp below beta = 0.095; dt = beta/20 must still run
     out = tmp_path / "del"

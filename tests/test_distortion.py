@@ -10,13 +10,12 @@ from scipy.special import erfc, sici
 from zcrate.distortion import (
     acf_tail_moment,
     c0_constant,
-    c1_of_k,
     c2_constant,
     distortion_bounds,
 )
 from zcrate.level_crossing import AcfModel
-from zcrate.params import ChannelConfig, derive
-from zcrate.spectrum import g_mag_sq
+from zcrate.params import derive
+from zcrate.spectrum import correlation_factor, g_mag_sq
 
 
 def tail_integral(beta: float, moment: int) -> float:
@@ -99,10 +98,10 @@ class TestConstants:
 class TestDistortionBounds:
     @pytest.mark.parametrize("k", [0.3, 0.7, 2.0])
     def test_ratio_is_correlation_squared(self, k):
-        p = derive(ChannelConfig(W=1.0, lam=1.0 / k, rho=10.0))
+        p = derive(W=1.0, lam=1.0 / k, rho=10.0)
         db = distortion_bounds(p)
         assert db.sigma_xt_sq_hi / db.sigma_xt_sq_lo == pytest.approx(
-            (1.0 + 2.0 * c1_of_k(k)) ** 2, rel=1e-12
+            (1.0 + 2.0 * correlation_factor(2.0 * math.pi * k, 1.0)) ** 2, rel=1e-12
         )
         assert db.sigma_z_sq_lo == pytest.approx(p.sigma_nhat_sq + db.sigma_xt_sq_lo, rel=1e-15)
         assert db.sigma_z_sq_hi == pytest.approx(p.sigma_nhat_sq + db.sigma_xt_sq_hi, rel=1e-15)
@@ -110,9 +109,9 @@ class TestDistortionBounds:
     def test_sdr_two_routes_agree(self):
         c0 = c0_constant()
         for k in (0.3, 0.7, 2.0):
-            p = derive(ChannelConfig(W=2.0, lam=2.0 / k, rho=15.0))
+            p = derive(W=2.0, lam=2.0 / k, rho=15.0)
             db = distortion_bounds(p)
-            c1 = c1_of_k(k)
+            c1 = correlation_factor(2.0 * math.pi * k, 1.0)
             pure_hi = 2.0 * math.pi**2 * (0.5 + 2.0 * k) * (1.0 + 2.0 * c1) / c0
             pure_lo = 2.0 * math.pi**2 * (0.5 + 2.0 * k) / ((1.0 + 2.0 * c1) * c0)
             assert db.sdr_hi == pytest.approx(pure_hi, rel=1e-12)
@@ -121,20 +120,20 @@ class TestDistortionBounds:
 
     def test_curvature_bound_negative(self):
         for k in (0.2, 1.0, 5.0):
-            p = derive(ChannelConfig(W=1.0, lam=1.0 / k, rho=6.0))
+            p = derive(W=1.0, lam=1.0 / k, rho=6.0)
             db = distortion_bounds(p)
             assert db.s2_xt_lo < 0
             assert db.s2_zz_lo < db.s2_xt_lo  # noise curvature adds on top
 
     def test_variance_vanishes_at_large_k(self):
-        p = derive(ChannelConfig(W=1.0, lam=1e-4, rho=10.0))
+        p = derive(W=1.0, lam=1e-4, rho=10.0)
         db = distortion_bounds(p)
         assert db.sigma_xt_sq_hi / p.P_hat < 1e-4
 
     def test_sdr_bounds_tighten_with_k(self):
         ratios = []
         for k in (0.5, 1.0, 2.0, 8.0):
-            p = derive(ChannelConfig(W=1.0, lam=1.0 / k, rho=10.0))
+            p = derive(W=1.0, lam=1.0 / k, rho=10.0)
             db = distortion_bounds(p)
             ratios.append(db.sdr_hi / db.sdr_lo)
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -145,7 +144,7 @@ class TestDistortionBounds:
 
         rng = np.random.default_rng(23)
         for k in (0.5, 1.0, 2.0):
-            p = derive(ChannelConfig(W=1.0, lam=1.0 / k, rho=10.0))
+            p = derive(W=1.0, lam=1.0 / k, rho=10.0)
             st = lp_distortion_stats(p, 200000, 50, rng)
             db = distortion_bounds(p)
             slack = 3.0 * st.var_time * math.sqrt(2.0 / (st.n_time_samples / 20.0))
@@ -154,7 +153,7 @@ class TestDistortionBounds:
 
 class TestDistortionAcf:
     def test_lag_zero_matches_closed_forms(self):
-        p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
+        p = derive(W=1.0, lam=1.0, rho=10.0)
         db = distortion_bounds(p)
         assert AcfModel.distortion(p, "upper").s0 == pytest.approx(db.sigma_xt_sq_hi, rel=1e-12)
 
@@ -244,7 +243,7 @@ class TestDistortionAcf:
         from zcrate.level_crossing import mean_excursion_duration
         from dataclasses import replace
 
-        p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
+        p = derive(W=1.0, lam=1.0, rho=10.0)
         p0 = replace(p, P_hat=1e-300)
         tau = mean_excursion_duration(p0, 0.1, -1.0)
         assert tau == pytest.approx(math.pi * math.sqrt(0.1), rel=1e-12)

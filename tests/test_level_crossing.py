@@ -17,13 +17,13 @@ from zcrate.level_crossing import (
     transition_curve,
     variance_curve_crossings,
 )
-from zcrate.params import ChannelConfig, derive
+from zcrate.params import derive
 from zcrate.simulate import SampledWaveform, gen_bandlimited_noise
 from zcrate.spectrum import correlation_factor, g_mag_sq, psd_finite_k
 
 
 def params_at(k: float, rho_db: float, W: float = 1.0):
-    return derive(ChannelConfig(W=W, lam=W / k, rho=10.0 ** (rho_db / 10.0)))
+    return derive(W=W, lam=W / k, rho=10.0 ** (rho_db / 10.0))
 
 
 class TestShiftDensity:

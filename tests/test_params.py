@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zcrate.params import (
-    ChannelConfig,
     ZeroCrossingSeq,
     awgn_capacity,
     derive,
@@ -17,7 +16,7 @@ from zcrate.params import (
 
 
 def test_derive_basic_values():
-    p = derive(ChannelConfig(W=0.5, lam=1.0, rho=10.0))
+    p = derive(W=0.5, lam=1.0, rho=10.0)
     assert p.beta == pytest.approx(1.0, abs=0)
     assert p.T_avg == pytest.approx(2.0, abs=0)
     assert p.sigma_A_sq == pytest.approx(1.0, abs=0)
@@ -27,19 +26,19 @@ def test_derive_basic_values():
 
 
 def test_power_ratio_limits():
-    hi = derive(ChannelConfig(W=1e9, lam=1.0, rho=1.0))
-    lo = derive(ChannelConfig(W=1e-9, lam=1.0, rho=1.0))
+    hi = derive(W=1e9, lam=1.0, rho=1.0)
+    lo = derive(W=1e-9, lam=1.0, rho=1.0)
     assert hi.P / hi.P_hat == pytest.approx(1.0, abs=1e-8)
     assert lo.P / lo.P_hat == pytest.approx(0.5, abs=1e-8)
     rng = np.random.default_rng(0)
     for _ in range(50):
         W, lam = np.exp(rng.uniform(-3, 3, size=2))
-        p = derive(ChannelConfig(W=W, lam=lam, rho=2.0))
+        p = derive(W=W, lam=lam, rho=2.0)
         assert 0.5 < p.P / p.P_hat < 1.0
 
 
 def test_snr_definition_roundtrip():
-    p = derive(ChannelConfig(W=2.5, lam=0.7, rho=31.6))
+    p = derive(W=2.5, lam=0.7, rho=31.6)
     assert p.P / (p.N0 * p.W) == pytest.approx(31.6, rel=1e-14)
     assert p.sigma_nhat_sq == pytest.approx(p.N0 * p.W, rel=1e-15)
 
@@ -49,19 +48,18 @@ def test_validation_names_offending_field(field):
     kwargs = {"W": 1.0, "lam": 1.0, "rho": 1.0, "P_hat": 1.0}
     kwargs[field] = -1.0
     with pytest.raises(ValueError, match=field):
-        derive(ChannelConfig(**kwargs))
+        derive(**kwargs)
     kwargs[field] = 0.0
     with pytest.raises(ValueError, match=field):
-        derive(ChannelConfig(**kwargs))
+        derive(**kwargs)
 
 
 def test_derive_is_deterministic():
-    cfg = ChannelConfig(W=1.3, lam=0.8, rho=12.0)
-    assert derive(cfg) == derive(cfg)
+    assert derive(W=1.3, lam=0.8, rho=12.0) == derive(W=1.3, lam=0.8, rho=12.0)
 
 
 def test_sample_min_spacing_and_reproducibility():
-    p = derive(ChannelConfig(W=1.0, lam=2.0, rho=10.0))
+    p = derive(W=1.0, lam=2.0, rho=10.0)
     seq1 = sample_input_sequence(p, 5000, np.random.default_rng(42))
     seq2 = sample_input_sequence(p, 5000, np.random.default_rng(42))
     assert np.diff(seq1.times, prepend=0.0).min() >= p.beta
@@ -72,7 +70,7 @@ def test_sample_min_spacing_and_reproducibility():
 
 def test_sample_moments_match_shifted_exponential():
     # W = 0.5 so beta = 1; lam = 1: mean 2.0 +- 0.01, variance 1.0 +- 0.02
-    p = derive(ChannelConfig(W=0.5, lam=1.0, rho=10.0))
+    p = derive(W=0.5, lam=1.0, rho=10.0)
     K = 10**6
     seq = sample_input_sequence(p, K, np.random.default_rng(7))
     spacings = np.diff(seq.times, prepend=0.0)
@@ -84,7 +82,7 @@ def test_sample_moments_clt_band():
     rng = np.random.default_rng(3)
     for _ in range(3):
         W, lam = np.exp(rng.uniform(-1, 1, size=2))
-        p = derive(ChannelConfig(W=W, lam=lam, rho=5.0))
+        p = derive(W=W, lam=lam, rho=5.0)
         K = 10**6
         seq = sample_input_sequence(p, K, rng)
         band = 3.0 * math.sqrt(p.sigma_A_sq / K)
@@ -92,11 +90,11 @@ def test_sample_moments_clt_band():
 
 
 def test_awgn_capacity_values():
-    assert awgn_capacity(ChannelConfig(W=1.0, lam=1.0, rho=0.0)) == 0.0
-    assert awgn_capacity(ChannelConfig(W=1.0, lam=1.0, rho=math.e - 1.0)) == pytest.approx(1.0)
-    assert awgn_capacity(ChannelConfig(W=2.0, lam=1.0, rho=3.0)) == pytest.approx(2.0 * math.log(4.0))
+    assert awgn_capacity(W=1.0, rho=0.0) == 0.0
+    assert awgn_capacity(W=1.0, rho=math.e - 1.0) == pytest.approx(1.0)
+    assert awgn_capacity(W=2.0, rho=3.0) == pytest.approx(2.0 * math.log(4.0))
     with pytest.raises(ValueError, match="rho"):
-        awgn_capacity(ChannelConfig(W=1.0, lam=1.0, rho=-0.5))
+        awgn_capacity(W=1.0, rho=-0.5)
 
 
 def test_zero_crossing_seq_invariants():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from zcrate.bounds import sigma_S_sq
 from zcrate.distortion import distortion_bounds
-from zcrate.params import ChannelConfig, ZeroCrossingSeq, derive, sample_input_sequence
+from zcrate.params import ZeroCrossingSeq, derive, sample_input_sequence
 from zcrate.simulate import (
     SampledWaveform,
     _fast_fft_len,
@@ -32,7 +32,7 @@ from zcrate.simulate import (
 
 
 def params_at(k: float, rho_db: float, W: float = 1.0):
-    return derive(ChannelConfig(W=W, lam=W / k, rho=10.0 ** (rho_db / 10.0)))
+    return derive(W=W, lam=W / k, rho=10.0 ** (rho_db / 10.0))
 
 
 def is_5_smooth(n: int) -> bool:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zcrate.params import ChannelConfig, derive
+from zcrate.params import derive
 from zcrate.spectrum import (
     PoleError,
     correlation_factor,
@@ -121,7 +121,7 @@ class TestExpectedCos:
 
 class TestPsdBounds:
     def setup_method(self):
-        self.params = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
+        self.params = derive(W=1.0, lam=1.0, rho=10.0)
 
     def test_ratio_is_correlation_squared(self):
         rng = np.random.default_rng(6)
@@ -160,7 +160,7 @@ class TestPsdBounds:
         W = 1.0
         vals = []
         for k in [0.3, 0.7, 1.5, 3.0]:
-            p = derive(ChannelConfig(W=W, lam=W / k, rho=10.0))
+            p = derive(W=W, lam=W / k, rho=10.0)
             vals.append(psd_bounds(2.0 * math.pi * W, p)[1])
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -185,7 +185,7 @@ class TestTruncatedSum:
             assert lower - tol <= total <= upper + tol
 
     def test_closed_form_matches_direct_sum(self):
-        p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
+        p = derive(W=1.0, lam=1.0, rho=10.0)
         K = 150
         from zcrate.spectrum import g_mag_sq as g
 
@@ -198,7 +198,7 @@ class TestTruncatedSum:
             assert psd_finite_k(omega, p, K) == pytest.approx(direct, rel=1e-12)
 
     def test_finite_k_within_bounds(self):
-        p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
+        p = derive(W=1.0, lam=1.0, rho=10.0)
         w = 2.0 * math.pi * np.linspace(0.05, 3.0, 60)
         fk = psd_finite_k(w, p, 10**5)
         lo, hi = psd_bounds(w, p)
@@ -214,7 +214,7 @@ class TestEmpiricalSandwich:
         from zcrate.params import sample_input_sequence
         from zcrate.simulate import empirical_psd, synthesize
 
-        p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
+        p = derive(W=1.0, lam=1.0, rho=10.0)
         emp = empirical_psd(p, K, np.random.default_rng(4))
         rng = np.random.default_rng(4)
         tx = sample_input_sequence(p, K, rng)
@@ -229,7 +229,7 @@ class TestEmpiricalSandwich:
         # simulator periodogram at K = 1e5 symbols, coarse-binned away from DC
         from zcrate.simulate import empirical_psd
 
-        p = derive(ChannelConfig(W=1.0, lam=1.0, rho=10.0))
+        p = derive(W=1.0, lam=1.0, rho=10.0)
         emp = empirical_psd(p, 10**5, np.random.default_rng(11))
         mask = (emp.f >= 0.1 * p.W) & (emp.f <= 2.5 * p.W)
         f, s = emp.f[mask], emp.psd[mask]
