@@ -324,8 +324,12 @@ def _lp_distortion_cell(cfg: dict, grid: dict, seed, k: float) -> tuple:
 
 def _deletions_cell(cfg: dict, grid: dict, seed, rho_db: float, beta: float, ratio: float) -> tuple:
     W = ratio / (2.0 * beta)
-    dc = deletion_census(cfg["lambda"], beta, W, 10.0 ** (rho_db / 10.0), grid["K"], grid["dt"],
-                         np.random.default_rng(seed), P_hat=cfg["P_hat"])
+    try:
+        dc = deletion_census(cfg["lambda"], beta, W, 10.0 ** (rho_db / 10.0), grid["K"],
+                             grid["dt"], np.random.default_rng(seed), P_hat=cfg["P_hat"])
+    except ValueError as exc:  # the cell's parameters leave the floats
+        where = f"SNR {rho_db:g} dB, beta = {beta:g}, 2 beta W = {ratio:g}"
+        raise UsageError(f"{where}: {exc}") from exc
     return (rho_db, beta, W, ratio, dc.k_tilde, grid["K"], dc.n_deletions, dc.n_insertions,
             dc.n_deletions_filter)
 

@@ -18,6 +18,7 @@ circular edge effects of FFT-based filtering; analysis windows stay inside.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,6 +129,8 @@ def synthesize(
         raise ValueError("first transition does not fit the guard plateau")
     t_start = -guard
     n = _fast_fft_len(int(math.ceil((T[-1] + beta / 2.0 + guard + guard) / dt)) + 1)
+    if n > sys.maxsize:
+        raise MemoryError(f"a waveform of more than {sys.maxsize} samples")
     t = t_start + dt * np.arange(n)
     amp = math.sqrt(p.P_hat)
 
@@ -170,44 +173,11 @@ def _band_bins(n: int, dt: float, W: float) -> int:
     return int(np.count_nonzero(np.fft.rfftfreq(n, dt) <= W))
 
 
-def _lowpass_spectrum(w: SampledWaveform, W: float) -> tuple[np.ndarray, int]:
-    """rfft of ``w`` with the bins above W zeroed, and the kept-bin count."""
-    m = _band_bins(len(w), w.dt, W)
-    X = np.fft.rfft(w.samples)
-    X[m:] = 0.0
-    return X, m
-
-
 def ideal_lp(w: SampledWaveform, W: float) -> SampledWaveform:
     """Brick-wall lowpass with one-sided bandwidth W and unit in-band gain."""
-    X, _ = _lowpass_spectrum(w, W)
+    X = np.fft.rfft(w.samples)
+    X[_band_bins(len(w), w.dt, W):] = 0.0
     return SampledWaveform(samples=np.fft.irfft(X, len(w)), dt=w.dt, t_start=w.t_start)
-
-
-def _noise_spectrum(n: int, m: int, N0: float, W: float, rng: np.random.Generator
-                    ) -> np.ndarray:
-    """The m in-band rfft bins of n samples of Gaussian noise with flat PSD
-    N0/2 on |f| <= W and variance N0 W (m from :func:`_band_bins`).
-
-    The law is that of the masked rfft of n white unit normals: interior bins
-    are complex normals with Re and Im each of variance n/2, while DC, and
-    Nyquist when it is in band, are real normals of variance n.  The bins are
-    then scaled by sqrt(N0 W n / dof), dof being the count of retained real
-    degrees of freedom, so the variance is N0 W exactly in expectation.
-    Exactly 2 m standard normals are drawn.
-    """
-    if N0 < 0:
-        raise ValueError(f"N0 must be nonnegative, got {N0}")
-    dof = 2 * m - 1  # DC bin carries one dof, not two
-    nyquist = n % 2 == 0 and m == n // 2 + 1
-    if nyquist:
-        dof -= 1  # so does Nyquist
-    X = rng.standard_normal(2 * m).view(np.complex128)
-    X *= math.sqrt(N0 * W * n / dof) * math.sqrt(n / 2.0)
-    X[0] = X[0].real * math.sqrt(2.0)
-    if nyquist:
-        X[-1] = X[-1].real * math.sqrt(2.0)
-    return X
 
 
 def gen_bandlimited_noise(
@@ -215,15 +185,33 @@ def gen_bandlimited_noise(
 ) -> SampledWaveform:
     """Gaussian noise with flat PSD N0/2 on |f| <= W and variance N0 W.
 
-    Built directly bandlimited: only the in-band spectrum is drawn
-    (:func:`_noise_spectrum`), then inverse-transformed, so there are no
-    filter transients and the target variance is exact in expectation.
+    Built directly bandlimited: only the m in-band rfft bins are drawn, then
+    inverse-transformed, so there are no filter transients.  The law is that
+    of the masked rfft of n white unit normals: interior bins are complex
+    normals with Re and Im each of variance n/2, while DC, and Nyquist when
+    it is in band, are real normals of variance n.  The bins are then scaled
+    by sqrt(N0 W n / dof), dof being the count of retained real degrees of
+    freedom, so the variance is N0 W exactly in expectation.  Exactly 2 m
+    standard normals are drawn; with N0 == 0, none.
     """
+    if N0 < 0:
+        raise ValueError(f"N0 must be nonnegative, got {N0}")
     m = _band_bins(n, dt, W)
     if N0 == 0.0:
         return SampledWaveform(samples=np.zeros(n), dt=dt)
+    dof = 2 * m - 1  # DC bin carries one dof, not two
+    nyquist = n % 2 == 0 and m == n // 2 + 1
+    if nyquist:
+        dof -= 1  # so does Nyquist
+    scale = math.sqrt(N0 * W * n / dof) * math.sqrt(n / 2.0)
+    if not math.isfinite(scale):  # an infinite or NaN N0 included
+        raise ValueError(f"noise of N0 = {N0:g} over {n} samples leaves the floating-point range")
     X = np.zeros(n // 2 + 1, dtype=np.complex128)
-    X[:m] = _noise_spectrum(n, m, N0, W, rng)
+    rng.standard_normal(out=X[:m].view(np.float64))
+    X[:m] *= scale
+    X[0] = X[0].real * math.sqrt(2.0)
+    if nyquist:
+        X[-1] = X[-1].real * math.sqrt(2.0)
     return SampledWaveform(samples=np.fft.irfft(X, n), dt=dt)
 
 
@@ -238,21 +226,15 @@ def transmit(
 ) -> tuple[SampledWaveform, SampledWaveform, SampledWaveform]:
     """The channel: synthesize ``tx`` with ``guard`` plateaus, lowpass at W,
     add noise with PSD N0/2 on |f| <= W.  Returns (x, xf, r): the transmit
-    waveform, its filtered copy, and the received signal.
-
-    One rfft of x and one irfft give xf; the noise spectrum is added to the
-    masked spectrum and a second irfft gives r, with the same noise law as
-    ``xf + gen_bandlimited_noise(...)``.  With N0 == 0, ``r is xf`` and
-    nothing is drawn.
+    waveform, its filtered copy, and the received signal xf + noise (3 FFTs
+    and 2 normals per in-band bin; with N0 == 0, r equals xf and nothing is
+    drawn).
     """
     x = synthesize(tx, params, dt, guard)
-    n = len(x)
-    X, m = _lowpass_spectrum(x, W)
-    xf = SampledWaveform(np.fft.irfft(X, n), dt, x.t_start)
-    if N0 == 0.0:
-        return x, xf, xf
-    X[:m] += _noise_spectrum(n, m, N0, W, rng)
-    return x, xf, SampledWaveform(np.fft.irfft(X, n), dt, x.t_start)
+    xf = ideal_lp(x, W)
+    r = gen_bandlimited_noise(len(x), dt, N0, W, rng).samples
+    r += xf.samples
+    return x, xf, SampledWaveform(r, dt, x.t_start)
 
 
 def quantize(w: SampledWaveform) -> SampledWaveform:
@@ -727,7 +709,8 @@ def lp_distortion_stats(
     # --- time statistics -------------------------------------------------
     K = int(math.ceil(n_time_samples * dt / p.T_avg)) + 50
     tx = sample_input_sequence(p, K, rng)
-    x, xf, _ = transmit(tx, p, p.W, 0.0, dt, rng, guard)
+    x = synthesize(tx, p, dt, guard)
+    xf = ideal_lp(x, p.W)
     t_end = tx.times[-1]
     xt = (xf.window(0.0, t_end).samples - x.window(0.0, t_end).samples)[:n_time_samples]
 

@@ -56,3 +56,30 @@ def test_tracer_binds_every_hook():
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert done.returncode == 0, done.stderr
+
+
+def test_tracer_sees_the_channel_stages(tmp_path):
+    # the Monte-Carlo chains run synthesize -> ideal_lp -> gen_bandlimited_noise,
+    # so the traced stage counters and FFT lengths are not 0
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from tracing import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "from zcrate.cli import main\n"
+        "out = sys.argv[2]\n"
+        "assert main(['--out', out + '/sim', 'simulate', '--K', '50']) == 0\n"
+        "assert main(['--out', out + '/lp', 'lp-distortion', '--k-list', '1',\n"
+        "             '--n-time', '2000', '--n-ensemble', '20']) == 0\n"
+        "m = tracer.layer_metrics()\n"
+        "assert m['simulate.ideal_lp.calls'] == m['simulate.synthesize.calls'], m\n"
+        "assert m['simulate.gen_bandlimited_noise.calls'] >= 1, m\n"
+        "assert m['simulate.fft_len_max'] > 0, m\n"
+        "assert m['simulate.fft_len_max_prime'] <= 5, m\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(root / "benchmarks"), str(tmp_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert done.returncode == 0, done.stderr

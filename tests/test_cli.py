@@ -229,6 +229,35 @@ def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "lp_distortion.csv").exists()
 
 
+@pytest.mark.parametrize("args, rc, head", [
+    # rho W underflows: derive's N0 overflows
+    (["--rho-db=-3200", "--beta-list", "1", "--ratio-list", "1"], 2, "usage error:"),
+    # N0 = P/(rho W) overflows at 2 beta W = 0.002, the noise scale at 1
+    (["--rho-db=-3080", "--beta-list", "1", "--ratio-list", "0.002,1", "--dt", "0.05"], 2,
+     "usage error:"),
+    (["--rho-db=-3080", "--beta-list", "1", "--ratio-list", "1", "--dt", "1e-3"], 2,
+     "usage error:"),
+    # more samples than an array can index
+    (["--rho-db", "10", "--beta-list", "1e300", "--ratio-list", "1", "--dt", "1e-3"], 1,
+     "out of memory in deletions:"),
+], ids=["derived_N0", "census_N0", "noise_scale", "sample_count"])
+def test_deletions_cell_outside_the_floats_is_one_line(tmp_path, capsys, args, rc, head):
+    assert main(["--out", str(tmp_path), "deletions", "--K", "10", *args]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith(head) and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "deletions.csv").exists()
+
+
+def test_negative_snr_list_takes_the_equals_form(tmp_path, capsys):
+    # argparse reads "-6,-4" after a space as a flag, not as a value
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "gauss-check", "--rho-db", "-6,-4"])
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+    assert main(["--out", str(tmp_path), "gauss-check", "--rho-db=-6,-4", "--k-list", "1"]) == 0
+    assert [float(r["rho_dB"]) for r in read_rows(tmp_path / "gauss_check.csv")] == [-6.0, -4.0]
+
+
 def test_bounds_sweep_at_tiny_k(tmp_path):
     # below k = 1.7e-9 the band-edge correlation factor must not cancel to 1/0
     rc = main(["--out", str(tmp_path), "bounds-sweep", "--k-min", "1e-9", "--k-max", "1e-8",
