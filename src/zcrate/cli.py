@@ -27,6 +27,7 @@ import pprint
 import struct
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Callable
@@ -121,13 +122,7 @@ def _params(cfg: dict, k: float | None = None, rho_db: float | None = None) -> D
     """The config's parameters, at k = W/lambda and SNR rho_db [dB] when given."""
     lam = cfg["lambda"] if k is None else cfg["W"] / k
     rho = cfg["rho"] if rho_db is None else 10.0 ** (rho_db / 10.0)
-    try:
-        return derive(cfg["W"], lam, rho, cfg["P_hat"])
-    except ValueError as exc:
-        where = "config" if k is None else f"k = {k:g}"
-        if rho_db is not None:
-            where += f", SNR {rho_db:g} dB"
-        raise UsageError(f"{where}: {exc}") from exc
+    return derive(cfg["W"], lam, rho, cfg["P_hat"])
 
 
 def parse_list(text: str) -> list[float]:
@@ -264,10 +259,7 @@ def _bounds_cell(cfg: dict, grid: dict, seed, rho_db: float, k: float) -> tuple:
 
 def _k_opt_cell(cfg: dict, grid: dict, seed, rho_db: float) -> tuple:
     rho = 10.0 ** (rho_db / 10.0)
-    try:
-        k = k_opt(rho)
-    except ValueError as exc:  # the search's parameters leave the floats
-        raise UsageError(f"SNR {rho_db:g} dB: {exc}") from exc
+    k = k_opt(rho)
     d = delta_offset(k, rho)
     return (rho_db, k, d, math.exp(d), d / LN2)
 
@@ -324,12 +316,8 @@ def _lp_distortion_cell(cfg: dict, grid: dict, seed, k: float) -> tuple:
 
 def _deletions_cell(cfg: dict, grid: dict, seed, rho_db: float, beta: float, ratio: float) -> tuple:
     W = ratio / (2.0 * beta)
-    try:
-        dc = deletion_census(cfg["lambda"], beta, W, 10.0 ** (rho_db / 10.0), grid["K"],
-                             grid["dt"], np.random.default_rng(seed), P_hat=cfg["P_hat"])
-    except ValueError as exc:  # the cell's parameters leave the floats
-        where = f"SNR {rho_db:g} dB, beta = {beta:g}, 2 beta W = {ratio:g}"
-        raise UsageError(f"{where}: {exc}") from exc
+    dc = deletion_census(cfg["lambda"], beta, W, 10.0 ** (rho_db / 10.0), grid["K"],
+                         grid["dt"], np.random.default_rng(seed), P_hat=cfg["P_hat"])
     return (rho_db, beta, W, ratio, dc.k_tilde, grid["K"], dc.n_deletions, dc.n_insertions,
             dc.n_deletions_filter)
 
@@ -338,7 +326,7 @@ def _deletions_cell(cfg: dict, grid: dict, seed, rho_db: float, beta: float, rat
 class Sweep:
     """A grid subcommand: its cell function mapped over the product of its axes."""
 
-    axes: Callable[[dict], tuple]    # grid -> value lists, outermost (slowest) first
+    axes: Callable[[dict], tuple]    # grid -> (name, values) pairs, outermost (slowest) first
     cell: Callable                   # module-level, so that worker processes can run it
     csv: str                         # with "{}", one CSV per cell, named by its first axis value
     header: tuple
@@ -348,7 +336,7 @@ class Sweep:
 
 
 def _k_and_snr(grid: dict) -> tuple:
-    return (grid["k_list"], grid["rho_db"])
+    return (("k", grid["k_list"]), ("rho_dB", grid["rho_db"]))
 
 
 def _monte_carlo(grid: dict) -> bool:
@@ -358,7 +346,8 @@ def _monte_carlo(grid: dict) -> bool:
 _SNR = "SNR [dB]"
 _SWEEPS = {
     "bounds-sweep": Sweep(
-        lambda g: (g["rho_db"], np.geomspace(g["k_min"], g["k_max"], g["k_points"]).tolist()),
+        lambda g: (("rho_dB", g["rho_db"]),
+                   ("k", np.geomspace(g["k_min"], g["k_max"], g["k_points"]).tolist())),
         _bounds_cell, "bounds_sweep.csv",
         ("W", "lambda", "k", "rho_dB", "lower_bits_s", "upper_bits_s", "awgn_bits_s", "mu_bar",
          "nu", "sigma_S_sq", "clamped_flag", "lower_nats_s", "upper_nats_s", "awgn_nats_s",
@@ -366,7 +355,7 @@ _SWEEPS = {
         Plot("rate bounds vs k", "k", "k = W/lambda", group="rho_dB", xlog=True,
              panels={"rate [bits/s]": ("lower_bits_s", "upper_bits_s", "awgn_bits_s")})),
     "k-opt": Sweep(
-        lambda g: (g["rho_db"],), _k_opt_cell, "k_opt.csv",
+        lambda g: (("rho_dB", g["rho_db"]),), _k_opt_cell, "k_opt.csv",
         ("rho_dB", "k_opt", "delta_nats", "ratio_awgn_over_lower", "delta_bits"),
         Plot("optimal k vs SNR", "rho_dB", _SNR,
              panels={"k_opt": ("k_opt",), "C_AWGN / lower": ("ratio_awgn_over_lower",)})),
@@ -377,7 +366,7 @@ _SWEEPS = {
              panels={"bits/s/Hz": ("lower_bits_s_hz", "upper_bits_s_hz")},
              markers=(("axvline", "sdr_star_dB"),))),
     "psd": Sweep(
-        lambda g: (g["k_list"],), _psd_cell, "psd_k{}.csv",
+        lambda g: (("k", g["k_list"]),), _psd_cell, "psd_k{}.csv",
         ("f_over_W", "lower", "upper", "empirical", "finite_k"),
         Plot("PSD bounds and estimate", "f_over_W", "f / W", ylog=True,
              panels={"PSD [W/Hz]": ("upper", "empirical")}),
@@ -396,7 +385,7 @@ _SWEEPS = {
         Plot("mean excursion duration", "rho_dB", _SNR, group="k", ylog=True,
              panels={"mean excursion / beta": ("tau_over_beta",)})),
     "lp-distortion": Sweep(
-        lambda g: (g["k_list"],), _lp_distortion_cell, "lp_distortion.csv",
+        lambda g: (("k", g["k_list"]),), _lp_distortion_cell, "lp_distortion.csv",
         ("k", "mean_time", "var_time", "mean_ensemble", "var_ensemble", "kl_nats",
          "sigma_xt_sq_lo", "sigma_xt_sq_hi"),
         Plot("lowpass distortion statistics", "k", "k", panels={
@@ -404,7 +393,8 @@ _SWEEPS = {
             "KL [nats]": ("kl_nats",)}),
         seeded=_monte_carlo),
     "deletions": Sweep(
-        lambda g: (g["rho_db"], g["beta_list"], g["ratio_list"]), _deletions_cell,
+        lambda g: (("rho_dB", g["rho_db"]), ("beta", g["beta_list"]),
+                   ("two_beta_W", g["ratio_list"])), _deletions_cell,
         "deletions.csv", ("rho_dB", "beta", "W", "two_beta_W", "k_tilde", "n_symbols",
                           "n_deletions", "n_insertions", "n_deletions_filter"),
         Plot("deletion census", "two_beta_W", "2 beta W", group="rho_dB", scatter=True,
@@ -421,14 +411,25 @@ def _map(fn, cells: list[tuple], jobs: int) -> list:
         return pool.starmap(fn, cells)
 
 
+def _run_cell(cell: Callable, names: tuple, cfg: dict, grid: dict, seed, *point):
+    """``cell(cfg, grid, seed, *point)``; a cell whose numbers leave the floats
+    is a usage error named by its grid point."""
+    try:
+        return cell(cfg, grid, seed, *point)
+    except (ValueError, ArithmeticError) as exc:
+        where = ", ".join(f"{name} = {value:g}" for name, value in zip(names, point))
+        raise UsageError(f"{where}: {exc}") from exc
+
+
 def run_sweep(spec: ExperimentSpec, out: Path) -> list[str]:
     sweep = _SWEEPS[spec.subcommand]
-    points = list(itertools.product(*sweep.axes(spec.grid)))
+    names, values = zip(*sweep.axes(spec.grid))
+    points = list(itertools.product(*values))
     seeded = sweep.seeded(spec.grid)
     seeds = (np.random.SeedSequence(spec.config["seed"]).spawn(len(points)) if seeded
              else [None] * len(points))
-    results = _map(sweep.cell, [(spec.config, spec.grid, seed, *point)
-                                for seed, point in zip(seeds, points)], spec.jobs)
+    cells = [(spec.config, spec.grid, seed, *point) for seed, point in zip(seeds, points)]
+    results = _map(partial(_run_cell, sweep.cell, names), cells, spec.jobs)
     header = list(sweep.header + (sweep.mc_header if seeded else ()))
     if "{}" in sweep.csv:
         files = [sweep.csv.format(_fmt(point[0])) for point in points]
@@ -529,6 +530,9 @@ def run(spec: ExperimentSpec) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, ArithmeticError) as exc:  # simulate's one cell is the config
+        print(f"usage error: config: {exc}", file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"numerical failure in {spec.subcommand}: {exc}", file=sys.stderr)
         return 1
@@ -612,7 +616,10 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         cfg["seed"] = args.seed
     if cfg["seed"] < 0:
         raise UsageError(f"seed must be >= 0, got {cfg['seed']}")
-    _params(cfg)
+    try:
+        _params(cfg)
+    except ValueError as exc:
+        raise UsageError(f"config: {exc}") from exc
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     grid = {}

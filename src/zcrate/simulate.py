@@ -128,9 +128,10 @@ def synthesize(
     if T[0] - beta / 2.0 <= -guard:
         raise ValueError("first transition does not fit the guard plateau")
     t_start = -guard
-    n = _fast_fft_len(int(math.ceil((T[-1] + beta / 2.0 + guard + guard) / dt)) + 1)
-    if n > sys.maxsize:
-        raise MemoryError(f"a waveform of more than {sys.maxsize} samples")
+    n = (float(T[-1]) + beta / 2.0 + guard + guard) / dt
+    if not n < sys.maxsize / 2:  # inf included; _fast_fft_len at most doubles it
+        raise MemoryError(f"a waveform of more than {sys.maxsize // 2} samples")
+    n = _fast_fft_len(int(math.ceil(n)) + 1)
     t = t_start + dt * np.arange(n)
     amp = math.sqrt(p.P_hat)
 
@@ -421,7 +422,8 @@ class CensusResult:
 def transition_crossing_census(
     params: DerivedParams, n_trials: int, rng: np.random.Generator
 ) -> CensusResult:
-    """Count received zero-crossings inside each transition window.
+    """Count the received zero-crossings of :func:`run_chain` runs inside
+    each transition window.
 
     Windows are [T_k - beta/2, T_k + beta/2]; at mid/high SNR each should
     contain exactly one crossing.  With N0 = 0 the chain is noise-free.
@@ -429,32 +431,22 @@ def transition_crossing_census(
     if n_trials < 2:
         raise ValueError(f"n_trials must be >= 2, got {n_trials}")
     p = params
-    dt = p.beta / 24.0
     counts: list[np.ndarray] = []
     collected = 0
     while collected < n_trials:
         K = int(min(2000, max(50, n_trials - collected + 4)))
-        run = _census_chunk(p, K, dt, rng)
-        counts.append(run)
-        collected += run.size
+        run = run_chain(p, K, p.beta / 24.0, rng)
+        # drop edge symbols; count crossings inside each transition window
+        T = run.tx.times[2:-2]
+        counts.append(np.searchsorted(run.rx.times, T + p.beta / 2.0)
+                      - np.searchsorted(run.rx.times, T - p.beta / 2.0))
+        collected += T.size
     all_counts = np.concatenate(counts)[:n_trials]
     return CensusResult(
         mean=float(all_counts.mean()),
         var=float(all_counts.var(ddof=1)),
         counts=all_counts,
     )
-
-
-def _census_chunk(p: DerivedParams, K: int, dt: float, rng: np.random.Generator) -> np.ndarray:
-    guard = 40.0 * p.beta
-    tx = sample_input_sequence(p, K, rng)
-    _, _, r = transmit(tx, p, p.W, p.N0, dt, rng, guard)
-    rx = extract_crossings(r)
-    # drop edge symbols; count crossings inside each transition window
-    T = tx.times[2:-2]
-    lo = np.searchsorted(rx.times, T - p.beta / 2.0)
-    hi = np.searchsorted(rx.times, T + p.beta / 2.0)
-    return (hi - lo).astype(int)
 
 
 # Coefficient tables of transition_distortion, fitted with mpmath by
@@ -826,11 +818,10 @@ def deletion_census(
     # then transmit through the decoupled filter W.  The beta derived back,
     # 1/(2 (1/(2 beta))), can land an ulp off the beta given; keep the given
     # one so that a dt of exactly beta/20 stays inside synthesize's limit.
-    p_sig = replace(
-        derive(1.0 / (2.0 * beta), lam, rho, P_hat),
-        beta=beta,
-    )
+    p_sig = replace(derive(1.0 / (2.0 * beta), lam, rho, P_hat), beta=beta)
     N0 = p_sig.P / (rho * W)
+    if not N0 < math.inf:
+        raise ValueError(f"N0 = P/(rho W) = {N0:g} leaves the floating-point range")
     guard = max(20.0 * beta, 10.0 / W)
     tx = sample_input_sequence(p_sig, K, rng)
     _, xf, r = transmit(tx, p_sig, W, N0, dt, rng, guard)

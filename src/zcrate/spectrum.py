@@ -75,7 +75,7 @@ def correlation_factor(omega, lam: float):
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
     w = np.asarray(omega, dtype=float)
-    if np.any(w == 0):
+    if np.any(w * w == 0):  # omega^2 underflows below about 1e-162 too
         raise PoleError("correlation_factor has a pole at omega = 0")
     c = lam * (np.sqrt(lam**2 + w**2) + lam) / w**2
     return c[()]

@@ -83,3 +83,25 @@ def test_tracer_sees_the_channel_stages(tmp_path):
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert done.returncode == 0, done.stderr
+
+
+def test_tracer_sees_the_census_run_the_chain(tmp_path):
+    # the Monte-Carlo transition census runs run_chain, so its spans are traced
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from tracing import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "from zcrate.cli import main\n"
+        "assert main(['--out', sys.argv[2], 'transition-census', '--k-list', '1',\n"
+        "             '--rho-db', '10', '--mc-trials', '50']) == 0\n"
+        "spans = tracer.span_table()\n"
+        "assert spans['simulate.run_chain']['calls'] >= 1, spans\n"
+        "assert spans['simulate.match_crossings']['calls'] >= 1, spans\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(root / "benchmarks"), str(tmp_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert done.returncode == 0, done.stderr

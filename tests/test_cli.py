@@ -185,6 +185,14 @@ def test_invalid_grid_exit_code(tmp_path):
     ["--set", "lambda=1e-300", "simulate", "--K", "5"],
     # the shift variance of simulate needs two symbols
     ["simulate", "--K", "1"],
+    # a cell whose numbers leave the floats, in any grid subcommand and in simulate
+    ["--set", "W=1e150", "bounds-sweep", "--k-points", "2", "--rho-db", "10"],
+    ["--set", "W=1e150", "spectral-efficiency", "--k-list", "1", "--rho-db", "10"],
+    ["--set", "W=1e150", "excursion", "--k-list", "1", "--rho-db", "10"],
+    ["--set", "W=1e150", "lp-distortion", "--k-list", "1", "--n-time", "2", "--n-ensemble", "2"],
+    ["--set", "P_hat=1e300", "transition-census", "--k-list", "1", "--rho-db", "10"],
+    ["--set", "W=1e-306", "transition-census", "--k-list", "1e-306", "--rho-db", "10"],
+    ["--set", "W=1e-306", "simulate", "--K", "5"],
 ])
 def test_bad_value_is_usage_error(tmp_path, capsys, args):
     rc = main(["--out", str(tmp_path), *args])
@@ -240,7 +248,10 @@ def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
     # more samples than an array can index
     (["--rho-db", "10", "--beta-list", "1e300", "--ratio-list", "1", "--dt", "1e-3"], 1,
      "out of memory in deletions:"),
-], ids=["derived_N0", "census_N0", "noise_scale", "sample_count"])
+    # a sample count that overflows to inf
+    (["--rho-db", "10", "--beta-list", "1e306", "--ratio-list", "1", "--dt", "1e-3"], 1,
+     "out of memory in deletions:"),
+], ids=["derived_N0", "census_N0", "noise_scale", "sample_count", "sample_count_inf"])
 def test_deletions_cell_outside_the_floats_is_one_line(tmp_path, capsys, args, rc, head):
     assert main(["--out", str(tmp_path), "deletions", "--K", "10", *args]) == rc
     err = capsys.readouterr().err

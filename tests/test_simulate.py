@@ -907,3 +907,12 @@ class TestDeletions:
                                  np.random.default_rng(20))
             assert dc.n_deletions > 0
             assert dc.n_deletions_filter > 0
+
+    def test_unusable_noise_level_is_refused_before_synthesis(self, monkeypatch):
+        # N0 = P/(rho W) overflows at rho = 1e-308, W = 1e-3: no waveform is built
+        def refuse(*args):
+            raise AssertionError("synthesize ran")
+
+        monkeypatch.setattr("zcrate.simulate.synthesize", refuse)
+        with pytest.raises(ValueError, match="N0"):
+            deletion_census(1.0, 1.0, 0.001, 1e-308, 10, 1e-3, np.random.default_rng(0))
