@@ -23,7 +23,7 @@ import numpy as np
 
 from .distortion import DistortionBounds, distortion_bounds
 from .params import DerivedParams, awgn_capacity, derive
-from .quadrature import NumericalError, gauss_legendre, log_sine_integral
+from .quadrature import NumericalError, gauss_legendre, horner, log_sine_integral
 
 __all__ = [
     "BoundReport",
@@ -44,6 +44,15 @@ _LOG_E_OVER_2PI = 1.0 - math.log(2.0 * math.pi)
 
 # Gauss-Legendre nodes of the water-filling constraint check
 _RESIDUAL_NODES = 200
+
+# sin(theta) - theta cos(theta) = theta^3 sum_n (-1)^n (2n+2)/(2n+3)! theta^(2n),
+# to 1e-19 of the first term for theta < 1
+_EDGE_SERIES = tuple((-1) ** n * (2 * n + 2) / math.factorial(2 * n + 3) for n in range(10))
+
+# cap on waterfill_nu's Newton steps: far above a root near 0, filled grows
+# like t^(3/2) and each step divides t by about 3, so 2,000 steps reach any
+# positive double
+_NEWTON_STEPS = 2000
 
 
 def sigma_S_sq(params: DerivedParams, sigma_z_sq: float) -> float:
@@ -98,47 +107,57 @@ def genie_lower_rate(params: DerivedParams, sigma_z_sq_hi: float) -> float:
     return (_LOG_E_OVER_2PI + arcosh_integral(arg)) / (2.0 * params.T_avg)
 
 
+def _filled(t: float) -> tuple[float, float]:
+    """int (t - 2 (1 - cos 2 pi f))^+ df over |f| <= 1/2 for 0 < t <= 4, and
+    its derivative in t.
+
+    With the edge phase theta = 2 pi f0 = 2 asin(sqrt(t)/2) the integral is
+    (2/pi) (sin theta - theta cos theta) and the derivative 2 f0 = theta/pi.
+    Below theta = 1 the difference is summed as its series, where it would
+    cancel.
+    """
+    theta = 2.0 * math.asin(0.5 * math.sqrt(t))
+    if theta < 1.0:
+        diff = theta**3 * horner(_EDGE_SERIES, theta * theta)
+    else:
+        diff = math.sin(theta) - theta * math.cos(theta)
+    return 2.0 * diff / math.pi, theta / math.pi
+
+
 def waterfill_nu(sigma_A_sq: float, sigma_S_sq: float) -> float:
     """Water level nu solving int (nu - S(f))^+ df = sigma_A^2 for
     S(f) = 2 sigma_S^2 (1 - cos 2 pi f) on |f| <= 1/2.
 
     S integrates to 2 sigma_S^2 and peaks at 4 sigma_S^2, so for
     sigma_A^2 >= 2 sigma_S^2 the water covers the whole band and
-    nu = sigma_A^2 + 2 sigma_S^2 in closed form; otherwise nu is found by
-    root finding on the filled-power function (exact up to the root solve).
+    nu = sigma_A^2 + 2 sigma_S^2 in closed form.  Otherwise t = nu/sigma_S^2
+    solves filled(t) = sigma_A^2/sigma_S^2 on (0, 4), where filled is
+    increasing and convex; Newton from t = 4 falls monotonically onto the
+    root and stops where a step no longer lowers t.
     """
     if sigma_A_sq <= 0 or sigma_S_sq <= 0:
         raise ValueError("sigma_A_sq and sigma_S_sq must be positive")
     if sigma_A_sq >= 2.0 * sigma_S_sq:
         return sigma_A_sq + 2.0 * sigma_S_sq
-    from scipy.optimize import brentq  # only this branch needs scipy.optimize
-
     q = sigma_A_sq / sigma_S_sq  # target in units of sigma_S^2
-
-    def filled(t: float) -> float:
-        # int (t - 2(1-cos 2 pi f))^+ df in units of sigma_S^2
-        f0 = math.acos(1.0 - t / 2.0) / (2.0 * math.pi)
-        return 2.0 * f0 * (t - 2.0) + 2.0 * math.sin(2.0 * math.pi * f0) / math.pi
-
-    t = brentq(lambda t: filled(t) - q, 1e-300, 4.0, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    return t * sigma_S_sq
+    t = 4.0
+    for _ in range(_NEWTON_STEPS):
+        filled, slope = _filled(t)
+        t_next = t - (filled - q) / slope
+        if not t_next < t:
+            return t * sigma_S_sq
+        t = t_next
+    raise NumericalError(f"waterfill_nu: Newton did not settle at sigma_A^2/sigma_S^2 = {q:g}")
 
 
 def waterfill_residual(nu: float, sigma_A_sq: float, sigma_S_sq: float) -> float:
     """Constraint residual |int (nu - S(f))^+ df - sigma_A^2| by quadrature.
 
-    The (.)^+ kink is located by an independent root solve on nu - S(f) so
-    Gauss-Legendre only ever sees a smooth integrand.
+    The (.)^+ kink sits at the band edge f0 = asin(sqrt(nu/(4 sigma_S^2)))/pi
+    (1/2 once nu >= 4 sigma_S^2), in closed form, so Gauss-Legendre only ever
+    sees a smooth integrand.
     """
-    def depth(f: float) -> float:
-        return nu - 2.0 * sigma_S_sq * (1.0 - math.cos(2.0 * math.pi * f))
-
-    if depth(0.5) >= 0.0:
-        f_edge = 0.5
-    else:
-        from scipy.optimize import brentq
-
-        f_edge = brentq(depth, 0.0, 0.5, xtol=1e-16, rtol=8.9e-16)
+    f_edge = math.asin(min(1.0, math.sqrt(nu / (4.0 * sigma_S_sq)))) / math.pi
     nodes, weights = gauss_legendre(_RESIDUAL_NODES)
     f = 0.5 * f_edge * (nodes + 1.0)
     s = 2.0 * sigma_S_sq * (1.0 - np.cos(2.0 * math.pi * f))

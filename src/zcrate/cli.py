@@ -34,6 +34,9 @@ from typing import Callable
 
 import numpy as np
 import scipy
+# numpy imports numpy.random on first attribute access; importing it here
+# keeps that cost in start-up rather than in the first Monte-Carlo cell
+from numpy.random import SeedSequence, default_rng
 
 from . import __version__
 from .bounds import bound_report, delta_offset, k_opt, sigma_S_sq
@@ -273,7 +276,7 @@ def _spectral_efficiency_cell(cfg: dict, grid: dict, seed, k: float, rho_db: flo
 
 def _psd_cell(cfg: dict, grid: dict, seed, k: float) -> list[tuple]:
     p = _params(cfg, k)
-    emp = empirical_psd(p, grid["K"], np.random.default_rng(seed))
+    emp = empirical_psd(p, grid["K"], default_rng(seed))
     mask = (emp.f > 0) & (emp.f <= 3.0 * p.W)
     f = emp.f[mask]
     w = 2.0 * math.pi * f
@@ -290,7 +293,7 @@ def _census_cell(cfg: dict, grid: dict, seed, k: float, rho_db: float) -> tuple:
     row = (rho_db, k, crossings.expectation, crossings.variance)
     if seed is None:
         return row
-    cen = transition_crossing_census(p, grid["mc_trials"], np.random.default_rng(seed))
+    cen = transition_crossing_census(p, grid["mc_trials"], default_rng(seed))
     return row + (cen.mean, cen.var)
 
 
@@ -308,7 +311,7 @@ def _excursion_cell(cfg: dict, grid: dict, seed, k: float, rho_db: float) -> tup
 
 def _lp_distortion_cell(cfg: dict, grid: dict, seed, k: float) -> tuple:
     p = _params(cfg, k)
-    st = lp_distortion_stats(p, grid["n_time"], grid["n_ensemble"], np.random.default_rng(seed))
+    st = lp_distortion_stats(p, grid["n_time"], grid["n_ensemble"], default_rng(seed))
     db = distortion_bounds(p)
     return (k, st.mean_time, st.var_time, float(st.mean_ensemble.mean()), st.var_ensemble_pooled,
             st.kl_nats, db.sigma_xt_sq_lo, db.sigma_xt_sq_hi)
@@ -317,7 +320,7 @@ def _lp_distortion_cell(cfg: dict, grid: dict, seed, k: float) -> tuple:
 def _deletions_cell(cfg: dict, grid: dict, seed, rho_db: float, beta: float, ratio: float) -> tuple:
     W = ratio / (2.0 * beta)
     dc = deletion_census(cfg["lambda"], beta, W, 10.0 ** (rho_db / 10.0), grid["K"],
-                         grid["dt"], np.random.default_rng(seed), P_hat=cfg["P_hat"])
+                         grid["dt"], default_rng(seed), P_hat=cfg["P_hat"])
     return (rho_db, beta, W, ratio, dc.k_tilde, grid["K"], dc.n_deletions, dc.n_insertions,
             dc.n_deletions_filter)
 
@@ -426,7 +429,7 @@ def run_sweep(spec: ExperimentSpec, out: Path) -> list[str]:
     names, values = zip(*sweep.axes(spec.grid))
     points = list(itertools.product(*values))
     seeded = sweep.seeded(spec.grid)
-    seeds = (np.random.SeedSequence(spec.config["seed"]).spawn(len(points)) if seeded
+    seeds = (SeedSequence(spec.config["seed"]).spawn(len(points)) if seeded
              else [None] * len(points))
     cells = [(spec.config, spec.grid, seed, *point) for seed, point in zip(seeds, points)]
     results = _map(partial(_run_cell, sweep.cell, names), cells, spec.jobs)
@@ -447,7 +450,7 @@ def run_sweep(spec: ExperimentSpec, out: Path) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def run_simulate(spec: ExperimentSpec, out: Path) -> list[str]:
-    rng = np.random.default_rng(spec.config["seed"])
+    rng = default_rng(spec.config["seed"])
     p = _params(spec.config)
     rep = bound_report(p)
     rates = {"lower": rep.lower_rate, "upper": rep.upper_rate, "AWGN": rep.awgn}

@@ -1,7 +1,8 @@
-"""Shared numeric-integration helpers.
+"""Shared numeric helpers.
 
-Cached Gauss-Legendre rules and the log-singular integrals that the
-water-filling rate and the arcosh identity need, plus a wrapper around scipy's
+Cached Gauss-Legendre rules, the log-singular integrals that the
+water-filling rate and the arcosh identity need, the Horner step of the
+frozen coefficient tables, and a wrapper around scipy's
 adaptive quadrature (QUADPACK) that turns silent accuracy loss into a hard
 error.  QUADPACK backs only the ``constants`` oracle and the tests, so
 ``scipy.integrate`` is imported on the first call of ``quad_checked``, not
@@ -16,8 +17,11 @@ import warnings
 from typing import Callable
 
 import numpy as np
+# numpy imports numpy.polynomial on first attribute access; importing it here
+# keeps that cost in start-up rather than in the first quadrature rule
+from numpy.polynomial.legendre import leggauss
 
-__all__ = ["NumericalError", "quad_checked", "log_sine_integral", "gauss_legendre"]
+__all__ = ["NumericalError", "quad_checked", "log_sine_integral", "gauss_legendre", "horner"]
 
 
 class NumericalError(RuntimeError):
@@ -53,7 +57,7 @@ def quad_checked(f: Callable[[float], float], a: float, b: float, label: str,
 @functools.lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)
+    return leggauss(n)
 
 
 # Gauss-Legendre nodes for the smooth remainder of log_sine_integral
@@ -77,3 +81,13 @@ def log_sine_integral(x: float) -> float:
     f = 0.5 * x * (nodes + 1.0)
     smooth = np.log(np.sinc(f))  # np.sinc(f) = sin(pi f)/(pi f)
     return analytic + 0.5 * x * float(np.dot(weights, smooth))
+
+
+def horner(coef: tuple[float, ...], u):
+    """sum_j coef[j] u^j for a float or an array u (accumulated in place)."""
+    acc = coef[-1] * u
+    for c in coef[-2:0:-1]:
+        acc += c
+        acc *= u
+    acc += coef[0]
+    return acc

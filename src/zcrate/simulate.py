@@ -22,6 +22,9 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+# numpy imports numpy.fft on first attribute access; importing it here keeps
+# that cost in start-up rather than in the first transmission
+from numpy.fft import irfft, rfft, rfftfreq
 
 from .params import (
     DerivedParams,
@@ -30,6 +33,7 @@ from .params import (
     derive,
     sample_input_sequence,
 )
+from .quadrature import horner
 
 __all__ = [
     "SampledWaveform",
@@ -171,14 +175,14 @@ def _band_bins(n: int, dt: float, W: float) -> int:
     fs = 1.0 / dt
     if fs < 2.0 * W:
         raise ValueError(f"sample rate {fs:.3g} below Nyquist for W = {W:.3g}")
-    return int(np.count_nonzero(np.fft.rfftfreq(n, dt) <= W))
+    return int(np.count_nonzero(rfftfreq(n, dt) <= W))
 
 
 def ideal_lp(w: SampledWaveform, W: float) -> SampledWaveform:
     """Brick-wall lowpass with one-sided bandwidth W and unit in-band gain."""
-    X = np.fft.rfft(w.samples)
+    X = rfft(w.samples)
     X[_band_bins(len(w), w.dt, W):] = 0.0
-    return SampledWaveform(samples=np.fft.irfft(X, len(w)), dt=w.dt, t_start=w.t_start)
+    return SampledWaveform(samples=irfft(X, len(w)), dt=w.dt, t_start=w.t_start)
 
 
 def gen_bandlimited_noise(
@@ -213,7 +217,7 @@ def gen_bandlimited_noise(
     X[0] = X[0].real * math.sqrt(2.0)
     if nyquist:
         X[-1] = X[-1].real * math.sqrt(2.0)
-    return SampledWaveform(samples=np.fft.irfft(X, n), dt=dt)
+    return SampledWaveform(samples=irfft(X, n), dt=dt)
 
 
 def transmit(
@@ -575,16 +579,6 @@ def _clenshaw(coef: tuple[float, ...], y: np.ndarray) -> tuple[np.ndarray, np.nd
     return b1, b2
 
 
-def _horner(coef: tuple[float, ...], u: np.ndarray) -> np.ndarray:
-    """sum_j coef[j] u^j."""
-    acc = coef[-1] * u
-    for c in coef[-2:0:-1]:
-        acc += c
-        acc *= u
-    acc += coef[0]
-    return acc
-
-
 def transition_distortion(tau: np.ndarray, beta: float) -> np.ndarray:
     """kappa(tau): the brick-wall lowpass output at W = 1/(2 beta) of the unit
     sine transition from -1 to +1 centred on 0, minus the transition itself.
@@ -608,8 +602,8 @@ def transition_distortion(tau: np.ndarray, beta: float) -> np.ndarray:
     with np.errstate(all="ignore"):
         w = 1.0 / zf
         u = w * w
-        p = _horner(_KAPPA_FAR_P, u)
-        q = _horner(_KAPPA_FAR_Q, u)
+        p = horner(_KAPPA_FAR_P, u)
+        q = horner(_KAPPA_FAR_Q, u)
         inner = np.flatnonzero(x < _KAPPA_FAR)
         near = x[inner] < _KAPPA_MID
         mid = inner[~near]
@@ -771,13 +765,13 @@ def empirical_psd(params: DerivedParams, K: int, rng: np.random.Generator) -> Em
     # |rfft|^2 in density scaling (scipy.signal.welch's defaults)
     win = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
     segs = np.lib.stride_tricks.sliding_window_view(xs - xs.mean(), nperseg)
-    spec = np.fft.rfft(segs[::nperseg - nperseg // 2] * win, axis=1)
+    spec = rfft(segs[::nperseg - nperseg // 2] * win, axis=1)
     psd = np.mean(spec.real**2 + spec.imag**2, axis=0) / (fs * np.sum(win**2))
     # two-sided density: a one-sided Welch doubles every bin but DC and an
     # even-length Nyquist bin, and the two-sided one halves that again
     if nperseg % 2 == 0:
         psd[-1] /= 2.0
-    return EmpiricalPsd(f=np.fft.rfftfreq(nperseg, dt)[1:], psd=psd[1:])
+    return EmpiricalPsd(f=rfftfreq(nperseg, dt)[1:], psd=psd[1:])
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from zcrate.bounds import (
     arcosh_integral,
@@ -206,6 +207,22 @@ class TestWaterfill:
         nu = waterfill_nu(0.1, 1.0)
         assert nu < 4.0
         assert waterfill_residual(nu, 0.1, 1.0) <= 1e-10 * 0.1
+
+    def test_newton_matches_brentq(self):
+        # oracle: brentq on the filled power evaluated at 30 digits, over the
+        # partial-coverage range sigma_A^2/sigma_S^2 in (0, 2)
+        mp = pytest.importorskip("mpmath")
+
+        def excess(t, q):
+            with mp.workdps(30):
+                t = mp.mpf(t)
+                f0 = mp.acos(1 - t / 2) / (2 * mp.pi)
+                return float(2 * f0 * (t - 2) + 2 * mp.sin(2 * mp.pi * f0) / mp.pi - q)
+
+        for q in [*np.geomspace(1e-12, 2.0, 60, endpoint=False), 2.0 * (1.0 - 1e-9)]:
+            root = brentq(excess, 1e-300, 4.0, args=(q,), xtol=1e-300, rtol=8.9e-16, maxiter=500)
+            for s_sq in (1.0, 0.37):
+                assert waterfill_nu(q * s_sq, s_sq) == pytest.approx(root * s_sq, rel=1e-14)
 
 
 class TestUpperBound:

@@ -320,26 +320,38 @@ def test_deletions_use_the_config_lambda(tmp_path):
 
 
 def test_cli_import_leaves_slow_scipy_subpackages_out(tmp_path):
-    # none of these is needed to parse arguments, to run the closed-form
-    # bounds at their defaults, or to evaluate the offset k_opt searches
-    # anywhere in its bracket (at k = 0.05 and 6 dB the upper bound's
-    # water-filling would need a root solve); scipy.integrate is loaded on
+    # none of these is needed to parse arguments, to run the analytic
+    # subcommands at their defaults and the Monte-Carlo ones at small sizes,
+    # to evaluate the offset k_opt searches anywhere in its bracket, or to
+    # solve the water-filling level where it covers part of the band (at
+    # k = 0.05 and 6 dB the upper bound's); scipy.integrate is loaded on
     # demand by the constants oracle, which must still write its residuals
     code = (
         "import contextlib, io, json, sys, zcrate.cli\n"
+        "from zcrate.bounds import waterfill_nu\n"
         "zcrate.cli.build_parser()\n"
+        "runs = [['transition-census'], ['bounds-sweep'], ['k-opt'],\n"
+        "        ['simulate', '--K', '100'],\n"
+        "        ['lp-distortion', '--k-list', '1', '--n-time', '2000', '--n-ensemble', '4'],\n"
+        "        ['deletions', '--rho-db', '15', '--beta-list', '1', '--ratio-list', '0.3',\n"
+        "         '--K', '200', '--dt', '5e-3']]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for cmd in ('k-opt', 'bounds-sweep'):\n"
-        "        assert zcrate.cli.main(['--out', sys.argv[1], cmd]) == 0\n"
+        "    for run in runs:\n"
+        "        assert zcrate.cli.main(['--out', sys.argv[1], *run]) == 0\n"
         "zcrate.cli.delta_offset(0.05, 10.0 ** 0.6)\n"
-        "slow = ['scipy.integrate', 'scipy.optimize', 'scipy.fft', 'scipy.signal']\n"
+        "assert waterfill_nu(0.1, 1.0) < 4.0\n"
+        "slow = ['scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.fft',\n"
+        "        'scipy.signal']\n"
         "print(json.dumps([m for m in slow if m in sys.modules]))\n"
         "zcrate.cli.main(['--out', sys.argv[1], 'constants'])\n"
+        "print(json.dumps('scipy.integrate' in sys.modules))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert json.loads(done.stdout.splitlines()[0]) == []
+    lines = done.stdout.splitlines()
+    assert json.loads(lines[0]) == []
+    assert json.loads(lines[-1]) is True
     residuals = {r["quantity"]: float(r["rel_residual"])
                  for r in read_rows(tmp_path / "constants.csv")}
     assert residuals["c0"] < 1e-6 and residuals["c2"] < 1e-6

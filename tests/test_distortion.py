@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfc, sici
+from scipy.special import sici
 
 from zcrate.distortion import (
+    _sici,
     acf_tail_moment,
     c0_constant,
     c2_constant,
@@ -75,8 +76,9 @@ class TestConstants:
         assert c2_constant() > 0
 
     def test_special_functions_against_quadrature(self):
-        # the library leans on scipy's Si/Ci/erfc; validate them at 20 points
-        # against brute-force quadrature so the substitution keeps an oracle
+        # the library's own Si/Ci and the math module's erfc, validated at 20
+        # points against brute-force quadrature so the substitution keeps an
+        # oracle
         rng = np.random.default_rng(12)
         xs = np.concatenate([rng.uniform(0.05, 5.9, 10), rng.uniform(6.1, 25.0, 10)])
         gamma = np.euler_gamma
@@ -85,14 +87,62 @@ class TestConstants:
             ci_ref = gamma + math.log(x) + quad(
                 lambda t: (math.cos(t) - 1.0) / t, 0.0, x, limit=300
             )[0]
-            si, ci = sici(x)
+            si, ci = _sici(x)
             assert si == pytest.approx(si_ref, abs=1e-10)
             assert ci == pytest.approx(ci_ref, abs=1e-10)
         for x in rng.uniform(0.0, 4.0, 20):
             ref = 2.0 / math.sqrt(math.pi) * quad(
                 lambda t: math.exp(-t * t), x, np.inf
             )[0]
-            assert erfc(x) == pytest.approx(ref, abs=1e-10)
+            assert math.erfc(x) == pytest.approx(ref, abs=1e-10)
+
+
+def _sici_grid():
+    """A log grid over [1e-3, 1e4], both sides of the regime edges 2 and 4,
+    and the neighbourhoods of the zeros of Ci at 0.6165 and 3.384."""
+    edges = [np.nextafter(e, d) for e in (2.0, 4.0) for d in (0.0, np.inf)]
+    return np.concatenate([np.geomspace(1e-3, 1e4, 600), [2.0, 4.0], edges,
+                           np.linspace(0.55, 0.7, 31), np.linspace(3.3, 3.5, 41),
+                           np.random.default_rng(9).uniform(1.5, 9.0, 100)])
+
+
+class TestSici:
+    """Si and Ci: 1e-15 relative where |value| >= 0.1, 1e-16 absolute below,
+    where a zero of Ci makes a relative error meaningless."""
+
+    def test_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mp.workdps(30):
+            for x in _sici_grid():
+                for got, ref in zip(_sici(float(x)), (mp.si(float(x)), mp.ci(float(x)))):
+                    worst = max(worst, float(abs(got - ref) / max(abs(ref), 0.1)))
+        assert worst <= 1e-15
+
+    def test_matches_scipy(self):
+        # scipy's own Ci is 7e-15 off near x = 4, where gamma + ln x cancels
+        for x in _sici_grid():
+            for got, ref in zip(_sici(float(x)), sici(float(x))):
+                assert abs(got - ref) <= 1e-14 * max(abs(ref), 0.1)
+
+    def test_tables_equal_their_fit(self):
+        """The frozen rational tables of _sici and of the folded normal mean
+        are what tools/fit_special_functions.py computes."""
+        pytest.importorskip("mpmath")
+        import importlib.util
+        from pathlib import Path
+
+        import zcrate.distortion as dist
+        import zcrate.level_crossing as lc
+
+        path = Path(__file__).resolve().parents[1] / "tools" / "fit_special_functions.py"
+        spec = importlib.util.spec_from_file_location("fit_special_functions", path)
+        fit = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fit)
+        assert (fit.SICI_MID, fit.SICI_FAR, fit.K_EDGE) == (dist._SICI_MID, dist._SICI_FAR,
+                                                            lc._K_EDGE)
+        for name, table in fit.fit_tables().items():
+            assert getattr(dist if name.startswith("_SICI") else lc, name) == table, name
 
 
 class TestDistortionBounds:
@@ -247,4 +297,4 @@ class TestDistortionAcf:
         p0 = replace(p, P_hat=1e-300)
         tau = mean_excursion_duration(p0, 0.1, -1.0)
         assert tau == pytest.approx(math.pi * math.sqrt(0.1), rel=1e-12)
-        assert erfc(0.0) == 1.0
+        assert math.erfc(0.0) == 1.0

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from zcrate.distortion import distortion_bounds
 from zcrate.level_crossing import (
     AcfModel,
+    _folded_mean,
     expected_curve_crossings,
     mean_excursion_duration,
     pdf_shift,
@@ -119,6 +120,7 @@ _SHAPE_FUNCTIONS = {
     "correlation_factor": lambda x: correlation_factor(x, _SHAPE_P.lam),
     "psd_finite_k": lambda x: psd_finite_k(x, _SHAPE_P),
     "pdf_shift": lambda x: pdf_shift(x, _SHAPE_P, 0.1),
+    "_folded_mean": lambda x: _folded_mean(x, 0.37),
 }
 _ACF_BUILDERS = {
     "bandlimited_noise": lambda p: AcfModel.bandlimited_noise(p.N0, p.W),
@@ -150,6 +152,52 @@ def test_evaluators_follow_the_numpy_shape_rule(name):
         assert float(value).hex() == float(f(np.array([x]))[0]).hex()
     grid = np.array([[0.3, -0.41, -0.02], [2e-4, 1.1, 0.7]])
     assert np.shape(f(grid)) == grid.shape
+
+
+class TestFoldedMean:
+    """E|X| for X ~ N(mu, sd^2) to 1e-15 relative, at x = |mu|/(sqrt(2) sd) on
+    both sides of the regime edges of an erf (0.84375, 1.25, 1/0.35, 6) and
+    of the K table (6), and at the special values."""
+
+    X = np.concatenate([[0.0, 1e-300, 1e-8, 0.84375, 1.25, 1.0 / 0.35, 6.0, 30.0, 1e10],
+                        [np.nextafter(e, d) for e in (0.84375, 1.25, 1.0 / 0.35, 6.0)
+                         for d in (0.0, np.inf)],
+                        np.linspace(0.0, 8.0, 161)])
+
+    def test_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        for sd in (1.0, 0.37, 2.5e-4):
+            mu = np.concatenate([self.X, -self.X]) * math.sqrt(2.0) * sd
+            got = _folded_mean(mu, sd)
+            with mp.workdps(30):
+                ref = np.array([float(sd * mp.sqrt(2 / mp.pi) * mp.exp(-(v / sd) ** 2 / 2)
+                                      + v * mp.erf(v / (mp.sqrt(2) * sd))) for v in mu])
+            assert np.max(np.abs(got - ref) / ref) <= 1e-15
+
+    def test_matches_the_erf_form(self):
+        # second reference: the textbook form with scipy's erf
+        from scipy.special import erf
+
+        mu = np.concatenate([self.X, -self.X])[:, None]
+        sd = np.array([1.0, 0.37, 2.5e-4])
+        t = mu / sd
+        ref = (sd * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * np.minimum(t * t, 1e6))
+               + mu * erf(t / math.sqrt(2.0)))
+        got = _folded_mean(mu, sd)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref) / ref) <= 1e-15
+
+    def test_special_values(self):
+        sd = 0.5
+        for zero in (0.0, -0.0):
+            assert _folded_mean(zero, sd) == pytest.approx(sd * math.sqrt(2.0 / math.pi), rel=1e-15)
+        assert _folded_mean(math.inf, sd) == math.inf
+        assert _folded_mean(-math.inf, sd) == math.inf
+        assert math.isnan(_folded_mean(math.nan, sd))
+        # sd = 0 is the point mass: |mu| exactly, without warnings
+        mu = np.array([-3.0, -0.0, 0.0, 1e-310, 2.5, math.inf])
+        with np.errstate(all="raise"):
+            assert np.array_equal(_folded_mean(mu, 0.0), np.abs(mu))
 
 
 class TestExpectedCrossings:
@@ -266,7 +314,7 @@ class TestExcursion:
             math.pi * math.sqrt(0.25 / 4.0), rel=1e-14
         )
 
-    @pytest.mark.parametrize("a", [0.5, 13.0, 700.0, 975.0, 5e4])
+    @pytest.mark.parametrize("a", [0.5, 13.0, 675.9, 676.0, 700.0, 975.0, 5e4])
     def test_matches_mpmath_where_exp_overflows(self, a):
         # tau = pi sqrt(sigma_z^2/-s2_zz) exp(a) erfc(sqrt(a)), a = P_hat/(2 sigma_z^2);
         # exp(a) alone overflows beyond a = 709

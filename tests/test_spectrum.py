@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from zcrate.params import derive
 from zcrate.spectrum import (
     PoleError,
+    band_edge_correlation,
     correlation_factor,
     expected_cos,
     g_mag_sq,
@@ -90,9 +91,18 @@ class TestCorrelationFactor:
         assert np.all(np.diff(c) < 0)
         assert np.all(c > 0)
 
+    def test_band_edge_scalar_is_the_array_formula(self):
+        k = np.concatenate([np.random.default_rng(4).uniform(0.01, 10.0, 200),
+                            np.geomspace(1e-150, 1e150, 61)])
+        for v in k:
+            assert band_edge_correlation(float(v)) == float(
+                correlation_factor(2.0 * math.pi * v, 1.0))
+
     def test_pole(self):
         with pytest.raises(PoleError):
             correlation_factor(0.0, 1.0)
+        with pytest.raises(PoleError):
+            band_edge_correlation(0.0)
 
 
 class TestExpectedCos:
