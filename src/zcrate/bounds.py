@@ -23,7 +23,8 @@ import numpy as np
 
 from .distortion import DistortionBounds, distortion_bounds
 from .params import DerivedParams, awgn_capacity, derive
-from .quadrature import NumericalError, gauss_legendre, horner, log_sine_integral
+from .quadrature import NumericalError, gauss_legendre, log_sine_integral
+from .special import horner
 
 __all__ = [
     "BoundReport",

@@ -29,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .params import DerivedParams
-from .quadrature import NumericalError, gauss_legendre, horner
+from .quadrature import NumericalError, gauss_legendre
+from .special import sici
 from .spectrum import band_edge_correlation, g_mag_sq
 
 __all__ = [
@@ -41,146 +42,12 @@ __all__ = [
 ]
 
 
-# Si and Ci take their power series up to x = 2 and the auxiliary functions
-# f and g above it (Abramowitz & Stegun 5.2.6-7).  x f(x) and x^2 g(x) are
-# rationals in s = (x0/x)^2, x0 = 2 on (2, 4] and x0 = 4 above, from
-# tools/fit_special_functions.py: (numerator, denominator), lowest power first.
-# The series stop where their next term is below 1e-19 at x = 2.
-_SICI_MID = 2.0
-_SICI_FAR = 4.0
-_SI_SERIES = tuple((-1) ** n / ((2 * n + 1) * math.factorial(2 * n + 1)) for n in range(13))
-_CIN_SERIES = tuple((-1) ** (n + 1) / ((2 * n + 2) * math.factorial(2 * n + 2)) for n in range(13))
-_SICI_NEAR_F = (
-    (
-        0.9999925631549329,
-        23.29687028481259,
-        165.2682117840946,
-        453.6161677651086,
-        501.1169932359512,
-        207.31690384102382,
-        25.363861049976204,
-        0.4087595773685018,
-    ),
-    (
-        1.0,
-        23.79630718611231,
-        175.6910093624455,
-        516.1334483031766,
-        636.9737548606687,
-        316.39999703782564,
-        53.93980642766448,
-        2.0247108998036256,
-    ),
-)
-_SICI_NEAR_G = (
-    (
-        0.9999529611005232,
-        26.091967480883312,
-        203.02956150136623,
-        597.3717003936895,
-        689.2970041379609,
-        287.4985608071961,
-        32.91590035701918,
-        0.2953398421558612,
-    ),
-    (
-        1.0,
-        27.588087826536622,
-        237.100156865637,
-        817.2210017995203,
-        1200.1880126502517,
-        727.5782885946641,
-        158.85384820547455,
-        8.539951297084428,
-    ),
-)
-_SICI_FAR_F = (
-    (
-        1.0,
-        58.06014840725768,
-        1220.2312451552314,
-        12054.471149122608,
-        60920.48567492178,
-        160872.96124167688,
-        217776.23708641256,
-        142232.57895240534,
-        39546.14715433129,
-        3578.727948402629,
-        46.26127365299899,
-    ),
-    (
-        1.0,
-        58.185148407257614,
-        1227.4106387061881,
-        12202.618402533104,
-        62340.35585390723,
-        167704.9289797626,
-        234457.61886004146,
-        162178.42010648438,
-        50229.33128897792,
-        5709.483781904905,
-        147.0388635762897,
-    ),
-)
-_SICI_FAR_G = (
-    (
-        0.9999999999999999,
-        64.83430793893129,
-        1526.6926900844312,
-        16942.780911674694,
-        96327.07091296487,
-        286015.67498902767,
-        433754.60323802213,
-        314504.17387134815,
-        95144.3047389142,
-        8869.547279077873,
-        80.04965302633869,
-    ),
-    (
-        1.0,
-        65.20930793893072,
-        1550.677430562011,
-        17494.94855363522,
-        102235.49750771905,
-        317738.28315624717,
-        520035.7302433885,
-        429187.2463656711,
-        163390.5656790445,
-        24080.25117534393,
-        907.9665708390362,
-    ),
-)
-
-
-def _sici(x: float) -> tuple[float, float]:
-    """Si(x) and Ci(x) for finite x > 0, to about 1e-15 relative where
-    |value| >= 0.1 and 1e-16 absolute below.
-
-    Up to x = 2, Si = sum (-1)^n x^(2n+1) / ((2n+1) (2n+1)!) and
-    Ci = gamma + ln x + sum (-1)^n x^(2n) / (2n (2n)!); above it
-    Si = pi/2 - f cos x - g sin x and Ci = f sin x - g cos x, which keeps Ci
-    accurate past its zero at x = 3.38 where gamma + ln x would cancel.
-    """
-    if x <= _SICI_MID:
-        z = x * x
-        return x * horner(_SI_SERIES, z), np.euler_gamma + math.log(x) + z * horner(_CIN_SERIES, z)
-    if x <= _SICI_FAR:
-        x0, (f_num, f_den), (g_num, g_den) = _SICI_MID, _SICI_NEAR_F, _SICI_NEAR_G
-    else:
-        x0, (f_num, f_den), (g_num, g_den) = _SICI_FAR, _SICI_FAR_F, _SICI_FAR_G
-    s = (x0 / x) ** 2
-    f = horner(f_num, s) / horner(f_den, s) / x
-    g = horner(g_num, s) / horner(g_den, s) / (x * x)
-    sin_x, cos_x = math.sin(x), math.cos(x)
-    return 0.5 * math.pi - f * cos_x - g * sin_x, f * sin_x - g * cos_x
-
-
 @lru_cache(maxsize=1)
 def c0_constant() -> float:
     """Universal constant of the clipped-energy integral (Si/Ci closed form)."""
     gamma = np.euler_gamma
-    si_pi, _ = _sici(math.pi)
-    si_2pi, ci_2pi = _sici(2.0 * math.pi)
+    si_pi, _ = sici(math.pi)
+    si_2pi, ci_2pi = sici(2.0 * math.pi)
     return (
         -3.0 * gamma
         - 3.0 * math.log(2.0 * math.pi)
@@ -195,7 +62,7 @@ def c0_constant() -> float:
 def c2_constant() -> float:
     """Universal constant of the clipped second-spectral-moment integral."""
     gamma = np.euler_gamma
-    si_2pi, ci_2pi = _sici(2.0 * math.pi)
+    si_2pi, ci_2pi = sici(2.0 * math.pi)
     return math.pi**2 - gamma - math.log(2.0 * math.pi) - math.pi * si_2pi + ci_2pi
 
 
@@ -253,7 +120,7 @@ def _tail(m: int, w: float, kind: str) -> float:
         if w == 0.0:
             total += -simple * math.log(b) + double / b
             continue
-        si, ci = _sici(w * b)
+        si, ci = sici(w * b)
         cos_wp, sin_wp = math.cos(w * p), math.sin(w * p)
         rest = 0.5 * math.pi - si
         i_cos = -cos_wp * ci - sin_wp * rest
@@ -348,7 +215,12 @@ def distortion_bounds(params: DerivedParams) -> DistortionBounds:
     s2_xt_lo = -(1.0 + 2.0 * c1) * p.P_hat * c2 / (2.0 * p.T_avg * p.beta)
     noise_var = p.sigma_nhat_sq
     # curvature of the filtered-noise ACF N0 W sinc(2 W tau) at 0
-    s2_nn = -(4.0 / 3.0) * math.pi**2 * p.N0 * p.W**3
+    try:
+        w_cubed = p.W**3
+    except OverflowError:
+        raise ValueError(f"noise-ACF curvature N0 W^3 leaves the floating-point range "
+                         f"(W = {p.W:g})") from None
+    s2_nn = -(4.0 / 3.0) * math.pi**2 * p.N0 * w_cubed
     return DistortionBounds(
         sigma_xt_sq_lo=sigma_xt_sq_lo,
         sigma_xt_sq_hi=sigma_xt_sq_hi,

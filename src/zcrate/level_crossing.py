@@ -27,7 +27,8 @@ import numpy as np
 from .bounds import sigma_S_sq
 from .distortion import acf_tail_moment
 from .params import DerivedParams
-from .quadrature import gauss_legendre, horner
+from .quadrature import gauss_legendre
+from .special import FOLDED_K, K_EDGE, erfcx, rational
 from .spectrum import band_edge_correlation
 
 __all__ = [
@@ -220,35 +221,6 @@ def transition_curve(params: DerivedParams):
     return psi, psi_prime, p.beta
 
 
-# K(x) = 1 - sqrt(pi) x exp(x^2) erfc(x) as a rational in x/6 on [0, 6]
-# (numerator, denominator; lowest power first), from
-# tools/fit_special_functions.py.  Beyond x = 6 the K term of the folded mean
-# is below 1e-18 of |mu|, so K(6) stands in for K(x).
-_K_EDGE = 6.0
-_FOLDED_K = (
-    (
-        1.0,
-        4.7227468735601486,
-        13.781851818835428,
-        22.276958067402592,
-        21.59659089496893,
-        9.117244476441504,
-        0.049898031023189016,
-        -0.01001397612550854,
-    ),
-    (
-        1.0,
-        15.35746997899329,
-        105.10429264541177,
-        417.1442008547329,
-        1041.9084610794744,
-        1647.9170085376636,
-        1540.9759623303614,
-        665.216151383621,
-    ),
-)
-
-
 def _folded_mean(mu, sd):
     """E|X| for X ~ N(mu, sd^2); reduces to |mu| when sd = 0.
 
@@ -262,12 +234,10 @@ def _folded_mean(mu, sd):
     abs_mu = np.abs(mu)
     # s = x/6; where sd = 0 it overflows to inf, or is 0 where mu is too
     with np.errstate(over="ignore"):
-        s = abs_mu * (1.0 / (_K_EDGE * math.sqrt(2.0) * np.maximum(sd, np.finfo(float).tiny)))
-        gauss = np.exp(-_K_EDGE**2 * (s * s))
+        s = abs_mu * (1.0 / (K_EDGE * math.sqrt(2.0) * np.maximum(sd, np.finfo(float).tiny)))
+        gauss = np.exp(-K_EDGE**2 * (s * s))
     s = np.minimum(s, 1.0)
-    num, den = _FOLDED_K
-    k = horner(num, s)
-    k /= horner(den, s)
+    k = rational(FOLDED_K, s)
     k *= gauss
     k *= sd * _SQRT_2_OVER_PI
     k += abs_mu
@@ -359,7 +329,12 @@ def variance_curve_crossings(
     s_tau = acf.s(tau)
     s1_tau = acf.s1(tau)
     s2_tau = acf.s2(tau)
-    det = s0**2 - s_tau**2
+    try:
+        s0_sq = s0**2
+    except OverflowError:
+        raise ValueError(f"squared total-noise variance s(0)^2 of the two-point crossing "
+                         f"density leaves the floating-point range (s(0) = {s0:g})") from None
+    det = s0_sq - s_tau**2
     c_diag = lam2 - s1_tau**2 * s0 / det
     c_off = -s2_tau - s1_tau**2 * s_tau / det
 
@@ -400,35 +375,6 @@ def variance_curve_crossings(
 # excursions
 # ---------------------------------------------------------------------------
 
-# x above which _erfcx takes the asymptotic series: exp(x^2) overflows near
-# x = 26.6, and from x = 26 on the first term the series leaves out is below
-# 1e-22
-_ERFCX_ASYMPTOTIC = 26.0
-
-
-def _erfcx(x: float) -> float:
-    """exp(x^2) erfc(x) for x >= 0, to a few ulp.
-
-    Below x = 26 it is exp(x^2) erfc(x), with x^2 = hi + lo split exactly
-    (Dekker) so that the rounding of x^2 does not reach exp: that would cost
-    x^2 ulp.  Above, it is the asymptotic series
-    (1/(x sqrt(pi))) sum_{n <= 9} (-1)^n (2n-1)!! / (2x^2)^n.
-    """
-    if x < _ERFCX_ASYMPTOTIC:
-        hi = x * x
-        split = 134217729.0 * x  # 2^27 + 1
-        x_hi = split - (split - x)
-        x_lo = x - x_hi
-        lo = ((x_hi * x_hi - hi) + 2.0 * x_hi * x_lo) + x_lo * x_lo
-        return math.exp(hi) * (1.0 + lo) * math.erfc(x)
-    v = 0.5 / (x * x)
-    term = total = 1.0
-    for n in range(1, 10):
-        term *= -(2 * n - 1) * v
-        total += term
-    return total / (x * math.sqrt(math.pi))
-
-
 def mean_excursion_duration(params: DerivedParams, sigma_z_sq: float, s2_zz: float) -> float:
     """Mean time the total noise spends above the signal level per excursion.
 
@@ -440,4 +386,4 @@ def mean_excursion_duration(params: DerivedParams, sigma_z_sq: float, s2_zz: flo
     if not (s2_zz < 0):
         raise ValueError(f"s2_zz must be negative, got {s2_zz}")
     a = params.P_hat / (2.0 * sigma_z_sq)
-    return math.pi * math.sqrt(sigma_z_sq / -s2_zz) * _erfcx(math.sqrt(a))
+    return math.pi * math.sqrt(sigma_z_sq / -s2_zz) * erfcx(math.sqrt(a))

@@ -1,10 +1,9 @@
 """Shared numeric helpers.
 
 Cached Gauss-Legendre rules, the log-singular integrals that the
-water-filling rate and the arcosh identity need, the Horner step of the
-frozen coefficient tables, and a wrapper around scipy's
-adaptive quadrature (QUADPACK) that turns silent accuracy loss into a hard
-error.  QUADPACK backs only the ``constants`` oracle and the tests, so
+water-filling rate and the arcosh identity need, and a wrapper around
+scipy's adaptive quadrature (QUADPACK) that turns silent accuracy loss into
+a hard error.  QUADPACK backs only the ``constants`` oracle and the tests, so
 ``scipy.integrate`` is imported on the first call of ``quad_checked``, not
 with this module.
 """
@@ -21,7 +20,7 @@ import numpy as np
 # keeps that cost in start-up rather than in the first quadrature rule
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["NumericalError", "quad_checked", "log_sine_integral", "gauss_legendre", "horner"]
+__all__ = ["NumericalError", "quad_checked", "log_sine_integral", "gauss_legendre"]
 
 
 class NumericalError(RuntimeError):
@@ -82,12 +81,3 @@ def log_sine_integral(x: float) -> float:
     smooth = np.log(np.sinc(f))  # np.sinc(f) = sin(pi f)/(pi f)
     return analytic + 0.5 * x * float(np.dot(weights, smooth))
 
-
-def horner(coef: tuple[float, ...], u):
-    """sum_j coef[j] u^j for a float or an array u (accumulated in place)."""
-    acc = coef[-1] * u
-    for c in coef[-2:0:-1]:
-        acc += c
-        acc *= u
-    acc += coef[0]
-    return acc

@@ -33,7 +33,7 @@ from .params import (
     derive,
     sample_input_sequence,
 )
-from .quadrature import horner
+from .special import transition_distortion
 
 __all__ = [
     "SampledWaveform",
@@ -50,7 +50,6 @@ __all__ = [
     "run_chain",
     "CensusResult",
     "transition_crossing_census",
-    "transition_distortion",
     "lp_distortion_at",
     "LpDistortionStats",
     "lp_distortion_stats",
@@ -453,179 +452,7 @@ def transition_crossing_census(
     )
 
 
-# Coefficient tables of transition_distortion, fitted with mpmath by
-# tools/fit_transition_kernel.py (a test checks that they equal its output).
-# Near field, |z| < 4: the filtered transition as odd Chebyshev coefficients
-# of T_1(z/4) .. T_23(z/4).  Mid field, 4 <= |z| < 48: P/pi and Q/pi as
-# Chebyshev series in 1/|z| mapped from [1/48, 1/4] onto [-1, 1].  Far field,
-# |z| >= 48: the asymptotic series of P/pi and Q/pi in 1/z^2.
-_KAPPA_MID = 4.0
-_KAPPA_FAR = 48.0
 _KAPPA_COLUMNS = 8  # transition columns per kernel call in lp_distortion_at
-_KAPPA_NEAR = (
-    1.341621951266127,
-    -0.2729810476206912,
-    0.035620108289930084,
-    -0.0025984009301451673,
-    0.00011819670528441592,
-    -3.654010095587238e-06,
-    8.164550019807241e-08,
-    -1.3794395365653184e-09,
-    1.8237778050985788e-11,
-    -1.938206180524994e-13,
-    1.6918160169797755e-15,
-    -1.2345707220803359e-17,
-)
-_KAPPA_MID_P = (
-    0.47508580283574015,
-    -0.0290465864395475,
-    -0.003978939549640629,
-    0.0006830466708918467,
-    -5.7123753825615816e-05,
-    -4.969654454875863e-06,
-    2.839291227165988e-06,
-    -6.190958289417797e-07,
-    7.335818695152967e-08,
-    4.0498821486556615e-09,
-    -5.211316026792288e-09,
-    1.760096351149852e-09,
-    -3.9365568063119046e-10,
-    5.2517319294866966e-11,
-    3.779407569522813e-12,
-    -5.469077930238891e-12,
-    2.274679082095793e-12,
-    -6.672980703643392e-13,
-    1.4481067210071098e-13,
-    -1.705373932389177e-14,
-    -3.800371011080735e-15,
-    3.5457188788747855e-15,
-    -1.5602702023411691e-15,
-    5.192837589099073e-16,
-    -1.3766725274952418e-16,
-    2.6188722950053823e-17,
-)
-_KAPPA_MID_Q = (
-    -0.6913803916635386,
-    0.06525807828246179,
-    0.00571301684900107,
-    -0.0022519670061090964,
-    0.0003089227932823082,
-    -3.816280073315346e-06,
-    -1.0899927694642761e-05,
-    3.5809359831462903e-06,
-    -6.806643968427287e-07,
-    5.366931012863569e-08,
-    1.94279137543114e-08,
-    -1.1351401826294435e-08,
-    3.5414313735327456e-09,
-    -7.649943201640352e-10,
-    8.68098246813724e-11,
-    1.8750690900218952e-11,
-    -1.6281972593275076e-11,
-    6.5929607874565264e-12,
-    -1.963890410007931e-12,
-    4.3566471382178704e-13,
-    -5.0562552624955074e-14,
-    -1.4149590455653843e-14,
-    1.2860574253090106e-14,
-    -5.853582868160252e-15,
-    2.038166233223099e-15,
-    -5.717310949718975e-16,
-    1.1881619981225315e-16,
-    -8.486634819122726e-18,
-    -8.112651878871291e-18,
-    5.93505263269827e-18,
-)
-_KAPPA_FAR_P = (
-    0.5,
-    -1.3387664832879433,
-    15.222902968009327,
-    -458.4290010781858,
-    25668.426559625503,
-    -2310165.951072724,
-    304941889.36430746,
-    -55499423899.45886,
-    13319861735792.732,
-    -4075877691152748.5,
-)
-_KAPPA_FAR_Q = (
-    -0.75,
-    3.774449174795745,
-    -76.42728051211249,
-    3208.531620566589,
-    -231016.6202145471,
-    25411824.080899857,
-    -3964244564.293807,
-    832491358486.9746,
-    -226437649508486.16,
-    7.74416761319022e+16,
-)
-
-
-def _clenshaw(coef: tuple[float, ...], y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """b_0 and b_1 of the recurrence b_k = c_k + y b_{k+1} - b_{k+2}.
-
-    With y = 2t, sum_k c_k T_k(t) = b_0 - t b_1; with y = 2 T_2(s),
-    sum_k c_k T_{2k+1}(s) = s (b_0 - b_1).
-    """
-    b1 = np.full_like(y, coef[-1])
-    b2 = np.zeros_like(y)
-    tmp = np.empty_like(y)
-    for c in coef[-2::-1]:
-        np.multiply(y, b1, out=tmp)
-        tmp -= b2
-        tmp += c
-        b2, b1, tmp = b1, tmp, b2
-    return b1, b2
-
-
-def transition_distortion(tau: np.ndarray, beta: float) -> np.ndarray:
-    """kappa(tau): the brick-wall lowpass output at W = 1/(2 beta) of the unit
-    sine transition from -1 to +1 centred on 0, minus the transition itself.
-
-    With z = pi tau/beta the filtered transition is
-    F(z) = (1/pi) int_{-pi/2}^{pi/2} cos v Si(z - v) dv, so kappa is
-    F(z) - sin(clip(z, -pi/2, pi/2)).  For |z| >= 4 it is exactly
-    (sin z Q(|z|)/z - cos z P(|z|)) / (pi z), where P and Q are smooth and
-    do not oscillate (see tools/fit_transition_kernel.py); they come from
-    Chebyshev series in 1/|z| below |z| = 48 and from their asymptotic series
-    in 1/z^2 above.  Below |z| = 4, F comes from its odd Chebyshev series.
-    Each point costs one sin/cos pair and at most two short series; the
-    error is about 1e-16 absolute.  The filter is aperiodic: no guard, no
-    grid.
-    """
-    z = (math.pi / beta) * np.asarray(tau, dtype=float)
-    zf = z.ravel()
-    x = np.abs(zf)
-    # the far series run on every point; the near field, where 1/z can
-    # overflow, is overwritten below
-    with np.errstate(all="ignore"):
-        w = 1.0 / zf
-        u = w * w
-        p = horner(_KAPPA_FAR_P, u)
-        q = horner(_KAPPA_FAR_Q, u)
-        inner = np.flatnonzero(x < _KAPPA_FAR)
-        near = x[inner] < _KAPPA_MID
-        mid = inner[~near]
-        if mid.size:
-            lo, hi = 1.0 / _KAPPA_FAR, 1.0 / _KAPPA_MID
-            t = (2.0 / (hi - lo)) * (1.0 / x[mid]) - (hi + lo) / (hi - lo)
-            b0, b1 = _clenshaw(_KAPPA_MID_P, 2.0 * t)
-            p[mid] = b0 - t * b1
-            b0, b1 = _clenshaw(_KAPPA_MID_Q, 2.0 * t)
-            q[mid] = b0 - t * b1
-        out = np.sin(zf)
-        out *= q
-        out *= w
-        out -= np.cos(zf) * p
-        out *= w
-    near = inner[near]
-    if near.size:
-        zn = zf[near]
-        s = 0.25 * zn
-        b0, b1 = _clenshaw(_KAPPA_NEAR, 4.0 * s * s - 2.0)
-        out[near] = s * (b0 - b1) - np.sin(np.clip(zn, -0.5 * math.pi, 0.5 * math.pi))
-    return out.reshape(z.shape)
 
 
 def lp_distortion_at(t: np.ndarray, T: np.ndarray, params: DerivedParams) -> np.ndarray:
@@ -635,7 +462,9 @@ def lp_distortion_at(t: np.ndarray, T: np.ndarray, params: DerivedParams) -> np.
     waveform, first transition falling, as :func:`synthesize` maps them; the
     filter is the brick-wall lowpass at W = 1/(2 beta), applied without a
     period.  The filter is linear, so x_t(t) = sqrt(P_hat) sum_k s_k
-    kappa(t - T_k) with s_k = -1, +1, -1, ...  Returns shape ``(len(t), rows)``.
+    kappa(t - T_k) with s_k = -1, +1, -1, ... and kappa
+    :func:`zcrate.special.transition_distortion`.  Returns shape
+    ``(len(t), rows)``.
     """
     p = params
     if not math.isclose(2.0 * p.W * p.beta, 1.0, rel_tol=1e-12):

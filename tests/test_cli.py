@@ -202,6 +202,23 @@ def test_bad_value_is_usage_error(tmp_path, capsys, args):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, quantity", [
+    (["--set", "W=1e150", "bounds-sweep", "--k-points", "2", "--rho-db", "10"], "N0 W^3"),
+    (["--set", "W=1e150", "spectral-efficiency", "--k-list", "1", "--rho-db", "10"], "N0 W^3"),
+    (["--set", "W=1e150", "excursion", "--k-list", "1", "--rho-db", "10"], "N0 W^3"),
+    (["--set", "W=1e150", "lp-distortion", "--k-list", "1", "--n-time", "2", "--n-ensemble", "2"],
+     "N0 W^3"),
+    (["--set", "P_hat=1e300", "transition-census", "--k-list", "1", "--rho-db", "10"], "s(0)^2"),
+])
+def test_overflow_names_the_quantity(tmp_path, capsys, args, quantity):
+    # the message names what left the floats, not the errno of a float power
+    rc = main(["--out", str(tmp_path), *args])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert quantity in err and "leaves the floating-point range" in err
+    assert "Numerical result out of range" not in err
+
+
 def test_k_opt_without_a_minimum_is_numerical_failure(tmp_path, capsys):
     # below about -5 dB the lower bound is nonpositive at every k of the bracket
     rc = main(["--out", str(tmp_path), "k-opt", "--rho-db=-10,-5"])

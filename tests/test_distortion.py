@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import sici
 
+from zcrate import special
 from zcrate.distortion import (
-    _sici,
     acf_tail_moment,
     c0_constant,
     c2_constant,
@@ -87,7 +87,7 @@ class TestConstants:
             ci_ref = gamma + math.log(x) + quad(
                 lambda t: (math.cos(t) - 1.0) / t, 0.0, x, limit=300
             )[0]
-            si, ci = _sici(x)
+            si, ci = special.sici(x)
             assert si == pytest.approx(si_ref, abs=1e-10)
             assert ci == pytest.approx(ci_ref, abs=1e-10)
         for x in rng.uniform(0.0, 4.0, 20):
@@ -115,34 +115,15 @@ class TestSici:
         worst = 0.0
         with mp.workdps(30):
             for x in _sici_grid():
-                for got, ref in zip(_sici(float(x)), (mp.si(float(x)), mp.ci(float(x)))):
+                for got, ref in zip(special.sici(float(x)), (mp.si(float(x)), mp.ci(float(x)))):
                     worst = max(worst, float(abs(got - ref) / max(abs(ref), 0.1)))
         assert worst <= 1e-15
 
     def test_matches_scipy(self):
         # scipy's own Ci is 7e-15 off near x = 4, where gamma + ln x cancels
         for x in _sici_grid():
-            for got, ref in zip(_sici(float(x)), sici(float(x))):
+            for got, ref in zip(special.sici(float(x)), sici(float(x))):
                 assert abs(got - ref) <= 1e-14 * max(abs(ref), 0.1)
-
-    def test_tables_equal_their_fit(self):
-        """The frozen rational tables of _sici and of the folded normal mean
-        are what tools/fit_special_functions.py computes."""
-        pytest.importorskip("mpmath")
-        import importlib.util
-        from pathlib import Path
-
-        import zcrate.distortion as dist
-        import zcrate.level_crossing as lc
-
-        path = Path(__file__).resolve().parents[1] / "tools" / "fit_special_functions.py"
-        spec = importlib.util.spec_from_file_location("fit_special_functions", path)
-        fit = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(fit)
-        assert (fit.SICI_MID, fit.SICI_FAR, fit.K_EDGE) == (dist._SICI_MID, dist._SICI_FAR,
-                                                            lc._K_EDGE)
-        for name, table in fit.fit_tables().items():
-            assert getattr(dist if name.startswith("_SICI") else lc, name) == table, name
 
 
 class TestDistortionBounds:

@@ -26,9 +26,9 @@ from zcrate.simulate import (
     slope_at,
     synthesize,
     transition_crossing_census,
-    transition_distortion,
     transmit,
 )
+from zcrate.special import transition_distortion
 
 
 def params_at(k: float, rho_db: float, W: float = 1.0):
@@ -728,8 +728,9 @@ class TestTransitionKernel:
 
     def test_matches_mpmath(self):
         """kappa against its definition at 25 digits, with beta = pi so that
-        z = tau: on both sides of the series edges |z| = 4 and 48, at the
-        kink pi/2 +- 1e-9, at 0 and at random points in |z| < 300."""
+        z = tau: on both sides of the field edge |z| = 4 and of |z| = 48, at
+        the kink pi/2 +- 1e-9, at 0, at random points in |z| < 300 and on a
+        log grid out to |z| = 1e6."""
         mp = pytest.importorskip("mpmath")
 
         def kappa(z):
@@ -739,28 +740,13 @@ class TestTransitionKernel:
             return filtered - mp.sin(min(max(z, -half), half))
 
         edges = [np.nextafter(e, d) for e in (4.0, 48.0) for d in (0.0, np.inf)]
+        far = np.geomspace(300.0, 1e6, 20)
         z = np.concatenate(([0.0, 0.5 * math.pi - 1e-9, 0.5 * math.pi + 1e-9], edges,
-                            np.negative(edges), np.random.default_rng(5).uniform(-300.0, 300.0, 40)))
+                            np.negative(edges), np.random.default_rng(5).uniform(-300.0, 300.0, 40),
+                            far, np.negative(far)))
         with mp.workdps(25):
             ref = np.array([float(kappa(v)) for v in z])
         assert np.max(np.abs(transition_distortion(z, math.pi) - ref)) <= 5e-16
-
-    def test_tables_equal_their_fit(self):
-        """The frozen coefficient tables are what tools/fit_transition_kernel.py
-        computes."""
-        pytest.importorskip("mpmath")
-        import importlib.util
-        from pathlib import Path
-
-        import zcrate.simulate as sim
-
-        path = Path(__file__).resolve().parents[1] / "tools" / "fit_transition_kernel.py"
-        spec = importlib.util.spec_from_file_location("fit_transition_kernel", path)
-        fit = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(fit)
-        assert (fit.MID, fit.FAR) == (sim._KAPPA_MID, sim._KAPPA_FAR)
-        for name, coef in fit.fit_tables().items():
-            assert getattr(sim, name) == coef, name
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_fft_converges_to_superposition(self, k):
