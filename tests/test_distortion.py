@@ -125,6 +125,14 @@ class TestSici:
             for got, ref in zip(special.sici(float(x)), sici(float(x))):
                 assert abs(got - ref) <= 1e-14 * max(abs(ref), 0.1)
 
+    def test_tables_equal_their_fit(self, fit_tool):
+        """The frozen rational tables of sici and of the folded normal mean,
+        and their regime edges, are what tools/fit_tables.py computes."""
+        assert (fit_tool.SICI_MID, fit_tool.SICI_FAR, fit_tool.K_EDGE) == (
+            special._SICI_MID, special._SICI_FAR, special.K_EDGE)
+        for name, table in fit_tool.sici_k_tables().items():
+            assert getattr(special, name) == table, name
+
 
 class TestDistortionBounds:
     @pytest.mark.parametrize("k", [0.3, 0.7, 2.0])

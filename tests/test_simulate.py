@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zcrate import special
 from zcrate.bounds import sigma_S_sq
 from zcrate.distortion import distortion_bounds
 from zcrate.params import ZeroCrossingSeq, derive, sample_input_sequence
@@ -747,6 +748,13 @@ class TestTransitionKernel:
         with mp.workdps(25):
             ref = np.array([float(kappa(v)) for v in z])
         assert np.max(np.abs(transition_distortion(z, math.pi) - ref)) <= 5e-16
+
+    def test_tables_equal_their_fit(self, fit_tool):
+        """The frozen kappa tables and its field edge are what
+        tools/fit_tables.py computes."""
+        assert fit_tool.KAPPA_EDGE == special._KAPPA_EDGE
+        for name, table in fit_tool.kappa_tables().items():
+            assert getattr(special, name) == table, name
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_fft_converges_to_superposition(self, k):

@@ -4,8 +4,10 @@ Run from the root of a checkout (needs mpmath):
 
     python tools/fit_tables.py
 
-It prints every table as the Python literal that ``special.py`` holds;
-``tests/test_special.py`` runs :func:`fit_tables` and checks that the
+It prints every table as the Python literal that ``special.py`` holds.
+``TestSici::test_tables_equal_their_fit`` (tests/test_distortion.py) runs
+:func:`sici_k_tables` and ``TestTransitionKernel::test_tables_equal_their_fit``
+(tests/test_simulate.py) runs :func:`kappa_tables`; each checks that the
 literals equal its output.  Every value is computed with mpmath and rounded
 once to double.
 
@@ -55,10 +57,8 @@ NODES = 48      # Chebyshev interpolation nodes of the near field of kappa
 POINTS = 80     # Chebyshev points per rational fit
 ITERATIONS = 5
 
-TABLES = (
-    "_SICI_NEAR_F", "_SICI_NEAR_G", "_SICI_FAR_F", "_SICI_FAR_G",
-    "_KAPPA_NEAR", "_KAPPA_P", "_KAPPA_Q", "FOLDED_K",
-)
+SICI_K_TABLES = ("_SICI_NEAR_F", "_SICI_NEAR_G", "_SICI_FAR_F", "_SICI_FAR_G", "FOLDED_K")
+KAPPA_TABLES = ("_KAPPA_NEAR", "_KAPPA_P", "_KAPPA_Q")
 
 
 def aux_fg(x):
@@ -152,18 +152,31 @@ def k_table():
     return rational_fit(s, k, w, NEAR_DEGREE)
 
 
-def fit_tables() -> dict[str, tuple]:
-    """Each table rounded to double, by its name in special.py: a rational
-    as (numerator, denominator), a Chebyshev series as its coefficients."""
+def sici_k_tables() -> dict[str, tuple]:
+    """The Si/Ci and K rationals rounded to double, by their names in
+    special.py, each as (numerator, denominator)."""
     with mp.workdps(DPS):
         one = (mp.mpf(1), mp.mpf(1))
         sici_near = pair_tables(aux_fg, SICI_MID, mp.mpf(SICI_MID) ** 2 / SICI_FAR**2, one,
                                 NEAR_DEGREE)
         sici_far = pair_tables(aux_fg, SICI_FAR, 0, one, FAR_DEGREE)
-        kappa_far = pair_tables(aux_pq, KAPPA_EDGE, 0, (mp.mpf(1) / 2, -mp.mpf(3) / 4),
-                                FAR_DEGREE)
-        tables = (*sici_near, *sici_far, kappa_near_table(), *kappa_far, k_table())
-        return {name: _rounded(table) for name, table in zip(TABLES, tables)}
+        tables = (*sici_near, *sici_far, k_table())
+        return {name: _rounded(table) for name, table in zip(SICI_K_TABLES, tables)}
+
+
+def kappa_tables() -> dict[str, tuple]:
+    """The kappa tables rounded to double, by their names in special.py: the
+    near Chebyshev series as its coefficients, each far rational as
+    (numerator, denominator)."""
+    with mp.workdps(DPS):
+        far = pair_tables(aux_pq, KAPPA_EDGE, 0, (mp.mpf(1) / 2, -mp.mpf(3) / 4), FAR_DEGREE)
+        tables = (kappa_near_table(), *far)
+        return {name: _rounded(table) for name, table in zip(KAPPA_TABLES, tables)}
+
+
+def fit_tables() -> dict[str, tuple]:
+    """Every table, in the order special.py holds them."""
+    return {**sici_k_tables(), **kappa_tables()}
 
 
 def _rounded(table):
